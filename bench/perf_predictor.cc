@@ -115,12 +115,10 @@ void BM_EnumerateCanonicalPlacements(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateCanonicalPlacements);
 
-// Sibling-ranking benchmarks: score every canonical 18-thread placement on
-// the x5-2, the shape of one optimizer ranking run. The warm variant chains
-// a SolverWarmStart seed through the (same-thread-count) siblings — the
-// incremental re-prediction path — while the cold variant solves each from
-// the Amdahl initial state. One benchmark iteration = one full pass.
-const std::vector<Placement>& SiblingPlacements() {
+// Sibling-ranking benchmark: score every canonical 18-thread placement on
+// the x5-2, the shape of one optimizer ranking run, each solved from the
+// Amdahl initial state. One benchmark iteration = one full pass.
+void BM_PredictSiblingsCold(benchmark::State& state) {
   static const std::vector<Placement> siblings = [] {
     const MachineTopology& topo = X5Pipeline().machine().topology();
     std::vector<Placement> all = EnumerateCanonicalPlacements(topo);
@@ -129,11 +127,6 @@ const std::vector<Placement>& SiblingPlacements() {
     });
     return all;
   }();
-  return siblings;
-}
-
-void BM_PredictSiblingsCold(benchmark::State& state) {
-  const std::vector<Placement>& siblings = SiblingPlacements();
   for (auto _ : state) {
     for (const Placement& placement : siblings) {
       benchmark::DoNotOptimize(MdPredictor().Predict(placement));
@@ -143,26 +136,6 @@ void BM_PredictSiblingsCold(benchmark::State& state) {
                           static_cast<int64_t>(siblings.size()));
 }
 BENCHMARK(BM_PredictSiblingsCold);
-
-void BM_PredictSiblingsWarm(benchmark::State& state) {
-  static const Predictor warm_predictor = [] {
-    PredictionOptions options;
-    options.warm_start = true;
-    return X5Pipeline().MakePredictor(MdPredictor().workload(), options);
-  }();
-  const std::vector<Placement>& siblings = SiblingPlacements();
-  SolverWarmStart warm;
-  for (auto _ : state) {
-    for (const Placement& placement : siblings) {
-      benchmark::DoNotOptimize(warm_predictor.PredictWarm(placement, &warm));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(siblings.size()));
-  state.counters["seeded"] =
-      static_cast<double>(warm.seeded) / static_cast<double>(warm.seeded + warm.cold);
-}
-BENCHMARK(BM_PredictSiblingsWarm);
 
 // --parallel: serial vs parallel RankPlacements throughput on a fixed
 // sampled candidate set, with a ranking-equality check and a cache-warm

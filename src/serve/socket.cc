@@ -12,11 +12,9 @@
 
 #include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "src/serve/socket_internal.h"
@@ -177,12 +175,9 @@ class EpollPoller : public Poller {
 
 std::unique_ptr<Poller> MakePoller() {
 #if defined(__linux__)
-  const char* forced = std::getenv("PANDIA_EVENT_LOOP");
-  if (forced == nullptr || std::string_view(forced) != "poll") {
-    std::unique_ptr<Poller> epoll = EpollPoller::Create();
-    if (epoll != nullptr) {
-      return epoll;
-    }
+  std::unique_ptr<Poller> epoll = EpollPoller::Create();
+  if (epoll != nullptr) {
+    return epoll;
   }
 #endif
   return std::make_unique<PollPoller>();

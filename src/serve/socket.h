@@ -9,9 +9,9 @@
 // deterministic regardless of transport.
 //
 // Mechanics (see socket.cc):
-//   * epoll on Linux, with an automatic poll() fallback; setting the
-//     PANDIA_EVENT_LOOP=poll environment variable forces the fallback
-//     (tests use it to cover both backends).
+//   * epoll on Linux; the whole loop falls back to poll() when epoll is
+//     unavailable (not Linux, or epoll_create1 fails) or cannot watch the
+//     stdin fd (a regular file, e.g. a redirected stdin).
 //   * client sockets are nonblocking; requests pipeline — a client may
 //     write any number of request lines before reading, and responses
 //     stream back in order.

@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -296,12 +295,13 @@ TEST(ConcurrencyRegression, ServiceSurvivesConcurrentSocketClients) {
 // interleave partially-read requests and partially-written responses across
 // connections without cross-talk. Run against a 2-shard fleet so the fleet
 // mutex is also under contention. Exercised twice — once with the default
-// poller (epoll on Linux) and once forced onto the poll() fallback.
-void PipelinedFleetClients(const char* event_loop) {
-  if (event_loop != nullptr) {
-    ASSERT_EQ(setenv("PANDIA_EVENT_LOOP", event_loop, 1), 0);
-  } else {
-    unsetenv("PANDIA_EVENT_LOOP");
+// poller (epoll on Linux) and once with an empty regular file as stdin,
+// which epoll cannot watch, so the whole loop falls back to poll().
+void PipelinedFleetClients(bool file_stdin) {
+  std::FILE* stdin_file = nullptr;
+  if (file_stdin) {
+    stdin_file = std::tmpfile();
+    ASSERT_NE(stdin_file, nullptr);
   }
   const eval::Pipeline pipeline("x3-2");
   std::vector<rack::RackMachine> machines;
@@ -316,14 +316,14 @@ void PipelinedFleetClients(const char* event_loop) {
 
   const std::string path = StrFormat(
       "%s/pandia_pipelined_%s.sock", ::testing::TempDir().c_str(),
-      event_loop == nullptr ? "default" : event_loop);
+      file_stdin ? "poll" : "default");
   std::remove(path.c_str());
   StatusOr<serve::SocketServer> server = serve::SocketServer::Listen(path);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
-  std::thread loop([&fleet, &server] {
-    const Status served =
-        serve::RunEventLoop(**fleet, /*stdin_fd=*/-1, stdout, &*server);
+  const int stdin_fd = stdin_file != nullptr ? fileno(stdin_file) : -1;
+  std::thread loop([&fleet, &server, stdin_fd] {
+    const Status served = serve::RunEventLoop(**fleet, stdin_fd, stdout, &*server);
     EXPECT_TRUE(served.ok()) << served.ToString();
   });
 
@@ -376,15 +376,17 @@ void PipelinedFleetClients(const char* event_loop) {
   ASSERT_TRUE(bye.ok()) << bye.status().ToString();
   EXPECT_TRUE(bye->ok);
   loop.join();
-  unsetenv("PANDIA_EVENT_LOOP");
+  if (stdin_file != nullptr) {
+    std::fclose(stdin_file);
+  }
 }
 
 TEST(ConcurrencyRegression, PipelinedFleetClientsDefaultPoller) {
-  PipelinedFleetClients(nullptr);
+  PipelinedFleetClients(/*file_stdin=*/false);
 }
 
 TEST(ConcurrencyRegression, PipelinedFleetClientsPollFallback) {
-  PipelinedFleetClients("poll");
+  PipelinedFleetClients(/*file_stdin=*/true);
 }
 
 }  // namespace
