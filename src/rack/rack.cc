@@ -571,12 +571,6 @@ StatusOr<int> Rack::Depart(const std::string& job) {
   ++mutation_seq_;
   ++machine_events_[machine_index];
   DeparturesCounter().Increment();
-  // Hard invalidation: joint fingerprints already exclude the departed job
-  // from future contexts, but bumping the generation also drops any entry
-  // other callers keyed more loosely against the old co-location.
-  if (cache_ != nullptr) {
-    cache_->BumpGeneration();
-  }
   return machine_index;
 }
 
@@ -647,14 +641,6 @@ Rack::TelemetrySnapshot Rack::Telemetry() const {
   return snapshot;
 }
 
-void Rack::Reset() {
-  for (auto& residents : residents_) {
-    residents.clear();
-  }
-  mutation_seq_ = 0;
-  std::fill(machine_events_.begin(), machine_events_.end(), 0);
-}
-
 Rack::SavedState Rack::SaveState() const {
   SavedState state;
   state.mutation_seq = mutation_seq_;
@@ -716,41 +702,7 @@ Status Rack::RestoreState(const SavedState& state) {
   residents_ = std::move(staged);
   mutation_seq_ = state.mutation_seq;
   machine_events_ = state.machine_events;
-  // The whole resident set may have changed shape; drop loosely-keyed cache
-  // entries the same way Depart does.
-  if (cache_ != nullptr) {
-    cache_->BumpGeneration();
-  }
   return Status::Ok();
-}
-
-RackScheduler::RackScheduler(std::vector<RackMachine> machines,
-                             PredictionOptions options)
-    : rack_(std::move(machines), options) {}
-
-std::vector<Assignment> RackScheduler::Schedule(std::span<const JobRequest> jobs,
-                                                Policy policy) {
-  std::vector<Assignment> assignments;
-  assignments.reserve(jobs.size());
-  for (const JobRequest& job : jobs) {
-    // Batch streams may repeat names (several instances of one workload);
-    // resident names must be unique, so uniquify internally.
-    JobRequest request = job;
-    int suffix = 2;
-    while (rack_.Has(request.name)) {
-      request.name = StrFormat("%s#%d", job.name.c_str(), suffix++);
-    }
-    StatusOr<Assignment> admitted = rack_.Admit(request, policy);
-    Assignment assignment;
-    assignment.job = job.name;
-    if (admitted.ok()) {
-      assignment.machine_index = admitted->machine_index;
-      assignment.placement = admitted->placement;
-      assignment.predicted_speedup = admitted->predicted_speedup;
-    }
-    assignments.push_back(std::move(assignment));
-  }
-  return assignments;
 }
 
 }  // namespace rack

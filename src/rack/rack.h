@@ -9,14 +9,11 @@
 // hardware threads, using the co-scheduling predictor to account for the
 // jobs already running there.
 //
-// Two layers:
-//
-//   * `Rack` is the mutable online state: machines plus the named jobs
-//     resident on them, with Admit / Depart / Move mutations that never
-//     abort on bad input (StatusOr surface). This is what the long-running
-//     placement service (src/serve) holds and journals.
-//   * `RackScheduler` is the batch wrapper the offline experiments use:
-//     Schedule() admits a whole job stream in order.
+// `Rack` is the mutable online state: machines plus the named jobs resident
+// on them, with Admit / Depart / Move mutations that never abort on bad
+// input (StatusOr surface). The long-running placement service (src/serve)
+// holds and journals one; the offline experiments (bench/ext_rack) admit a
+// job stream into one in order.
 #ifndef PANDIA_SRC_RACK_RACK_H_
 #define PANDIA_SRC_RACK_RACK_H_
 
@@ -182,8 +179,8 @@ class Rack {
   // machine: empty vector). Results are memoized under a fingerprint of
   // the full resident set — machine, options, and every (workload,
   // placement) pair — so a stale hit cannot survive any membership or
-  // placement change; PredictionCache::BumpGeneration() additionally
-  // hard-invalidates after departures.
+  // placement change, and a mutation on another machine leaves this
+  // machine's entry reusable.
   std::vector<Prediction> PredictMachine(int machine_index) const;
 
   // Per-job telemetry snapshot: the admission-time baseline, the current
@@ -217,9 +214,6 @@ class Rack {
   // Computes the current joint prediction per machine, so cost is one
   // (memoized) joint solve per occupied machine.
   TelemetrySnapshot Telemetry() const;
-
-  // Clears all residents.
-  void Reset();
 
   // A full copy of the rack's mutable state: every resident (including its
   // telemetry baseline fields) plus the mutation counters Telemetry()
@@ -271,33 +265,6 @@ class Rack {
   // mutation_seq_ and the touched machines' machine_events_ entries.
   uint64_t mutation_seq_ = 0;
   std::vector<uint64_t> machine_events_;
-};
-
-// Batch scheduling over a Rack: admits a job stream in order. Kept for the
-// offline experiments (bench/ext_rack) and as the simplest entry point.
-class RackScheduler {
- public:
-  explicit RackScheduler(std::vector<RackMachine> machines,
-                         PredictionOptions options = {});
-
-  // Assigns jobs online, in order. Jobs that fit nowhere get
-  // machine_index = -1. Duplicate request names are uniquified internally
-  // (the returned Assignment keeps the request's name).
-  std::vector<Assignment> Schedule(std::span<const JobRequest> jobs, Policy policy);
-
-  const std::vector<RackMachine>& machines() const { return rack_.machines(); }
-  const std::vector<RackJob>& ResidentsOf(int machine_index) const {
-    return rack_.JobsOn(machine_index);
-  }
-
-  Rack& rack() { return rack_; }
-  const Rack& rack() const { return rack_; }
-
-  // Clears all assignments.
-  void Reset() { rack_.Reset(); }
-
- private:
-  Rack rack_;
 };
 
 }  // namespace rack

@@ -18,7 +18,6 @@ namespace pandia {
 namespace serve {
 namespace {
 
-constexpr const char kMagicV1[] = "pandia-journal v1";
 constexpr const char kMagicV2[] = "pandia-journal v2";
 
 int64_t NowNs() {
@@ -255,7 +254,6 @@ Journal::Journal(Journal&& other) noexcept
       options_(other.options_),
       file_(std::exchange(other.file_, nullptr)),
       recovery_(std::move(other.recovery_)),
-      version_(other.version_),
       next_seq_(other.next_seq_),
       record_count_(other.record_count_),
       records_since_snapshot_(other.records_since_snapshot_),
@@ -272,7 +270,6 @@ Journal& Journal::operator=(Journal&& other) noexcept {
     options_ = other.options_;
     file_ = std::exchange(other.file_, nullptr);
     recovery_ = std::move(other.recovery_);
-    version_ = other.version_;
     next_seq_ = other.next_seq_;
     record_count_ = other.record_count_;
     records_since_snapshot_ = other.records_since_snapshot_;
@@ -334,8 +331,7 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
       // The header line itself is torn (crash between creating the file and
       // flushing the magic). Only a recognizable magic prefix is forgiven;
       // anything else is not a journal.
-      if (std::string_view(kMagicV2).rfind(text, 0) == 0 ||
-          std::string_view(kMagicV1).rfind(text, 0) == 0) {
+      if (std::string_view(kMagicV2).rfind(text, 0) == 0) {
         journal.recovery_.truncated_torn_tail = true;
         journal.recovery_.truncated_bytes = text.size();
         keep_bytes = 0;
@@ -345,13 +341,10 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
       }
     } else {
       const std::string_view header(text.data(), header_end);
-      if (header == kMagicV1) {
-        journal.version_ = 1;
-      } else if (header != kMagicV2) {
+      if (header != kMagicV2) {
         return Status::DataLoss(StrFormat("journal '%s' does not start with '%s'",
                                           journal.path_.c_str(), kMagicV2));
       }
-      journal.recovery_.version = journal.version_;
 
       // Walk the record lines. `pos` is the byte offset of the current
       // line's start — the truncation point if that line turns out torn.
@@ -379,18 +372,7 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
         bool could_be_tear = false;
         Frame frame;
         wire::Request request;
-        if (journal.version_ == 1) {
-          // v1: raw request lines, no framing to verify. Parse errors are
-          // corruption wherever they occur — v1 predates torn-tail
-          // recovery, and silently dropping a record would change replay.
-          StatusOr<wire::Request> parsed = wire::ParseRequest(line);
-          if (!parsed.ok()) {
-            return Status::DataLoss(StrFormat("journal line %zu: %s", line_number,
-                                              parsed.status().message().c_str()));
-          }
-          request = *std::move(parsed);
-          good = true;
-        } else if (ParseFrame(line, &frame, &reason, &could_be_tear)) {
+        if (ParseFrame(line, &frame, &reason, &could_be_tear)) {
           if (journal.recovery_.records.empty()) {
             // Sequence numbers continue across compaction, so a compacted
             // journal legitimately starts above 1: the first record
@@ -416,17 +398,21 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
           }
         }
 
-        if (!good && journal.version_ == 2) {
-          // Only a tear signature on an unterminated final line is
-          // recoverable. A terminated defective record (the newline proves
-          // the whole line landed), a full-length payload with a CRC
-          // mismatch, or a checksum-valid record with the wrong sequence
-          // number cannot come from a write cut short — that is bit-rot or
-          // a writer bug, refused like mid-file corruption (journal.h).
-          if (terminated || !could_be_tear) {
-            return Status::DataLoss(StrFormat("journal line %zu: %s",
-                                              line_number, reason.c_str()));
-          }
+        // Only a tear signature on an unterminated final line is
+        // recoverable. A terminated defective record (the newline proves
+        // the whole line landed), a full-length payload with a CRC
+        // mismatch, or a checksum-valid record with the wrong sequence
+        // number cannot come from a write cut short — that is bit-rot or
+        // a writer bug, refused like mid-file corruption (journal.h).
+        if (!good && (terminated || !could_be_tear)) {
+          return Status::DataLoss(StrFormat("journal line %zu: %s",
+                                            line_number, reason.c_str()));
+        }
+        if (!terminated) {
+          // A torn final line — a tear signature, or a complete verified
+          // record missing only its newline. Keeping the latter would glue
+          // the next append onto its line, and it was never acknowledged
+          // with a full write, so both are truncated.
           if (LooksLikeTornSnapshot(line)) {
             // A snapshot only reaches the journal via fsync-then-rename;
             // a torn one means that contract broke, and truncating it
@@ -442,41 +428,12 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
           break;
         }
 
-        if (!terminated) {
-          // A complete, verified record missing only its newline: the tear
-          // took the separator but not the data. Keep the bytes? No —
-          // appending the next record would glue two records onto one
-          // line. Truncate it like any other tear (it was never
-          // acknowledged with a full write).
-          if (journal.version_ == 2) {
-            if (LooksLikeTornSnapshot(line)) {
-              return Status::DataLoss(StrFormat(
-                  "journal line %zu: snapshot record is truncated; refusing "
-                  "to recover (compaction atomicity was violated)",
-                  line_number));
-            }
-            journal.recovery_.truncated_torn_tail = true;
-            journal.recovery_.truncated_bytes = text.size() - pos;
-            keep_bytes = pos;
-            break;
-          }
-          // v1 tolerated an unterminated final line; keep replaying it.
-        }
-
         journal.recovery_.records.push_back(
             JournalRecord{std::move(request), line_number});
-        if (journal.version_ == 2) {
-          ++expected_seq;
-        }
-        if (!terminated) {
-          break;
-        }
+        ++expected_seq;
         pos = newline + 1;
       }
-      journal.next_seq_ =
-          journal.version_ == 2
-              ? expected_seq
-              : static_cast<uint64_t>(journal.recovery_.records.size()) + 1;
+      journal.next_seq_ = expected_seq;
     }
   }
 
@@ -504,7 +461,6 @@ StatusOr<Journal> Journal::Open(std::string path, JournalOptions options) {
         std::fflush(journal.file_) != 0) {
       return ErrnoStatus("cannot write journal header", journal.path_);
     }
-    journal.version_ = 2;
     journal.size_bytes_ = std::strlen(kMagicV2) + 1;
     journal.next_seq_ = 1;
     return journal;
@@ -545,11 +501,6 @@ void Journal::RestoreTail() {
 }
 
 Status Journal::Append(const wire::Request& record) {
-  if (version_ == 1) {
-    return Status::FailedPrecondition(StrFormat(
-        "journal '%s' is v1 (read-only); compact it to v2 before appending",
-        path_.c_str()));
-  }
   if (dirty_) {
     RestoreTail();
     if (dirty_) {
@@ -679,7 +630,6 @@ Status Journal::Compact(const wire::Request& snapshot) {
   // if the reopen fails — in that case dirty_ makes the next Append retry
   // the reopen (via RestoreTail) instead of writing through a dead stream.
   Close();
-  version_ = 2;
   next_seq_ = snapshot_seq + 1;
   record_count_ = 1;
   records_since_snapshot_ = 0;

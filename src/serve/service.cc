@@ -294,19 +294,12 @@ bool PlacementService::degraded() const {
 }
 
 wire::Response PlacementService::Dispatch(const wire::Request& request) {
-  if (IsMutatingVerb(request.verb) && journal_ != nullptr) {
-    if (journal_->needs_upgrade()) {
-      // First mutation on a recovered v1 journal: rewrite it as a v2
-      // snapshot before any record needs appending.
-      if (Status upgraded = CompactJournal(); !upgraded.ok()) {
-        return wire::Response::Failure(upgraded);
-      }
-    } else if (degraded_ && !ProbeJournal()) {
-      return wire::Response::Failure(Status::Unavailable(StrFormat(
-          "journal '%s' is unavailable; serving read-only (STATUS, METRICS, "
-          "TELEMETRY, RECORDER)",
-          options_.journal_path.c_str())));
-    }
+  if (IsMutatingVerb(request.verb) && journal_ != nullptr && degraded_ &&
+      !ProbeJournal()) {
+    return wire::Response::Failure(Status::Unavailable(StrFormat(
+        "journal '%s' is unavailable; serving read-only (STATUS, METRICS, "
+        "TELEMETRY, RECORDER)",
+        options_.journal_path.c_str())));
   }
   wire::Response response = DispatchVerb(request);
   // Compaction opportunity: a mutation just landed and most of the journal
@@ -451,15 +444,9 @@ wire::Response PlacementService::HandleAdmit(const wire::Request& request) {
   record.params.emplace_back(
       "desc", WorkloadDescriptionToText(
                   job.descriptions.at(machine.description.topo.name)));
-  if (Status journaled = AppendJournal(record); !journaled.ok()) {
-    // Unwind the admission: live state must never hold a mutation the
-    // journal (and the client, who sees err) does not.
-    (void)rack_.RestoreState(saved);
-    obs::EventLog::Global().Log(obs::LogLevel::kWarn, "serve.rollback",
-                                "rolled back admission after journal failure",
-                                {{"name", job.name}});
-    recorder_->Record("rollback", "ADMIT name=" + wire::EscapeValue(job.name),
-                      /*ok=*/false);
+  if (Status journaled = CommitOrRollback(record, saved, "ADMIT", job.name,
+                                          "rolled back admission after journal failure");
+      !journaled.ok()) {
     return wire::Response::Failure(journaled);
   }
 
@@ -514,17 +501,9 @@ Status PlacementService::ReplaceDegraded(int machine_index,
     record.params.emplace_back("machine", StrFormat("%d", machine_index));
     record.params.emplace_back("placement",
                                wire::PlacementToCsv(candidate->placement));
-    if (Status journaled = AppendJournal(record); !journaled.ok()) {
-      // Unrecorded moves must not survive in live state (counters and the
-      // job's move/telemetry baselines included).
-      (void)rack_.RestoreState(saved);
-      obs::EventLog::Global().Log(obs::LogLevel::kWarn, "serve.rollback",
-                                  "rolled back re-placement after journal failure",
-                                  {{"name", name}});
-      recorder_->Record("rollback", "MOVE name=" + wire::EscapeValue(name),
-                        /*ok=*/false);
-      return journaled;
-    }
+    PANDIA_RETURN_IF_ERROR(
+        CommitOrRollback(record, saved, "MOVE", name,
+                         "rolled back re-placement after journal failure"));
     payload.push_back(StrFormat("moved = %s machine=%d placement=%s speedup=%.6f",
                                 wire::EscapeValue(name).c_str(), machine_index,
                                 wire::PlacementToCsv(candidate->placement).c_str(),
@@ -557,13 +536,9 @@ wire::Response PlacementService::HandleDepart(const wire::Request& request) {
   wire::Request record;
   record.verb = "DEPARTED";
   record.params.emplace_back("name", *name);
-  if (Status journaled = AppendJournal(record); !journaled.ok()) {
-    (void)rack_.RestoreState(saved);
-    obs::EventLog::Global().Log(obs::LogLevel::kWarn, "serve.rollback",
-                                "rolled back departure after journal failure",
-                                {{"name", *name}});
-    recorder_->Record("rollback", "DEPART name=" + wire::EscapeValue(*name),
-                      /*ok=*/false);
+  if (Status journaled = CommitOrRollback(record, saved, "DEPART", *name,
+                                          "rolled back departure after journal failure");
+      !journaled.ok()) {
     return wire::Response::Failure(journaled);
   }
 
@@ -675,17 +650,10 @@ wire::Response PlacementService::HandleRebalance(const wire::Request& request) {
       record.params.emplace_back("name", entry.name);
       record.params.emplace_back("machine", StrFormat("%d", best_machine));
       record.params.emplace_back("placement", wire::PlacementToCsv(best->placement));
-      if (Status journaled = AppendJournal(record); !journaled.ok()) {
-        // Unrecorded moves must not survive in live state (counters and
-        // telemetry baselines included).
-        (void)rack_.RestoreState(saved);
-        obs::EventLog::Global().Log(
-            obs::LogLevel::kWarn, "serve.rollback",
-            "rolled back rebalance move after journal failure",
-            {{"name", entry.name}});
-        recorder_->Record("rollback",
-                          "MOVE name=" + wire::EscapeValue(entry.name),
-                          /*ok=*/false);
+      if (Status journaled =
+              CommitOrRollback(record, saved, "MOVE", entry.name,
+                               "rolled back rebalance move after journal failure");
+          !journaled.ok()) {
         return wire::Response::Failure(journaled);
       }
       response.payload.push_back(
@@ -1222,6 +1190,26 @@ wire::Response PlacementService::HandleCompact(const wire::Request& request) {
               ? bytes_before - journal_->size_bytes()
               : 0)));
   return response;
+}
+
+Status PlacementService::CommitOrRollback(const wire::Request& record,
+                                          const rack::Rack::SavedState& saved,
+                                          std::string_view verb,
+                                          const std::string& name,
+                                          std::string_view rollback_message) {
+  Status journaled = AppendJournal(record);
+  if (!journaled.ok()) {
+    // Unwind the mutation: live state must never hold a mutation the
+    // journal (and the client, who sees err) does not — mutation counters
+    // and the job's telemetry baselines included.
+    (void)rack_.RestoreState(saved);
+    obs::EventLog::Global().Log(obs::LogLevel::kWarn, "serve.rollback",
+                                rollback_message, {{"name", name}});
+    recorder_->Record("rollback",
+                      std::string(verb) + " name=" + wire::EscapeValue(name),
+                      /*ok=*/false);
+  }
+  return journaled;
 }
 
 Status PlacementService::AppendJournal(const wire::Request& record) {

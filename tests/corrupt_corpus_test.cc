@@ -93,7 +93,8 @@ TEST(CorruptCorpus, MessagesNameTheDefect) {
 
 // --- journal corpus -----------------------------------------------------
 //
-// The journal/ subdirectory holds broken journal-v2 files. Recovery may
+// The journal/ subdirectory holds broken journal-v2 files and one journal in
+// the retired v1 format, which must be refused. Recovery may
 // truncate a torn tail in place, so every file is copied to a scratch path
 // before Journal::Open sees it — the checked-in corpus is never modified.
 
@@ -139,6 +140,8 @@ TEST(CorruptCorpus, BrokenJournalsAreRefusedWithTheDefectNamed) {
       {"bad_seq_tail.journal", "sequence 5 where 2 was expected"},
       {"interleaved_v1_v2.journal", "journal line 3: bad sequence number"},
       {"truncated_snapshot.journal", "snapshot record is truncated"},
+      // The retired v1 format (raw request lines, no framing) is not read.
+      {"v1_journal.journal", "does not start with 'pandia-journal v2'"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.file);

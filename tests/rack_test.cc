@@ -1,7 +1,11 @@
 // Tests for the rack-scale scheduler (§8 future-work extension).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "src/eval/pipeline.h"
+#include "src/obs/metrics.h"
 #include "src/rack/rack.h"
 #include "src/workloads/workloads.h"
 
@@ -65,115 +69,112 @@ TEST(PlaceOnFreeCores, FailsWhenSocketFull) {
   EXPECT_FALSE(PlaceLoadsOnFreeCores(topo, loads, free).has_value());
 }
 
-// --- scheduling ---
+// --- batch admission: a job stream admitted in order ---
 
-TEST(RackScheduler, PlacesEveryJobWhileRoomRemains) {
-  RackScheduler scheduler(TwoNodeRack());
-  const std::vector<JobRequest> jobs{MakeJob("CG", 8), MakeJob("EP", 8),
-                                     MakeJob("MD", 8)};
-  const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kBestSpeedup);
-  ASSERT_EQ(assignments.size(), 3u);
-  for (const Assignment& assignment : assignments) {
-    EXPECT_GE(assignment.machine_index, 0) << assignment.job;
-    ASSERT_TRUE(assignment.placement.has_value());
-    EXPECT_GE(assignment.placement->TotalThreads(), 1);
-    EXPECT_LE(assignment.placement->TotalThreads(), 8);
-    EXPECT_GT(assignment.predicted_speedup, 0.0);
+TEST(RackAdmit, PlacesEveryJobWhileRoomRemains) {
+  Rack rack(TwoNodeRack());
+  for (const JobRequest& job : {MakeJob("CG", 8), MakeJob("EP", 8), MakeJob("MD", 8)}) {
+    const StatusOr<Assignment> assignment = rack.Admit(job, Policy::kBestSpeedup);
+    ASSERT_TRUE(assignment.ok()) << job.name << ": " << assignment.status().ToString();
+    EXPECT_EQ(assignment->job, job.name);
+    EXPECT_GE(assignment->machine_index, 0) << job.name;
+    ASSERT_TRUE(assignment->placement.has_value());
+    EXPECT_GE(assignment->placement->TotalThreads(), 1);
+    EXPECT_LE(assignment->placement->TotalThreads(), 8);
+    EXPECT_GT(assignment->predicted_speedup, 0.0);
   }
+  EXPECT_EQ(rack.JobCount(), 3);
 }
 
-TEST(RackScheduler, NeverOverSubscribesAMachine) {
-  RackScheduler scheduler(TwoNodeRack());
+TEST(RackAdmit, NeverOverSubscribesAMachine) {
+  Rack rack(TwoNodeRack());
   // Far more thread demand than the rack holds (2 x 32 hardware threads).
-  std::vector<JobRequest> jobs;
+  const int cores = X3().machine().topology().NumCores();
+  std::vector<std::vector<int>> used(2, std::vector<int>(static_cast<size_t>(cores), 0));
   for (int i = 0; i < 6; ++i) {
-    jobs.push_back(MakeJob("EP", 16));
-  }
-  const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kFirstFit);
-  std::vector<std::vector<int>> used(2);
-  for (auto& u : used) {
-    u.assign(static_cast<size_t>(X3().machine().topology().NumCores()), 0);
-  }
-  for (const Assignment& assignment : assignments) {
-    if (assignment.machine_index < 0) {
+    JobRequest job = MakeJob("EP", 16);
+    job.name = "EP-" + std::to_string(i);
+    const StatusOr<Assignment> assignment = rack.Admit(job, Policy::kFirstFit);
+    if (!assignment.ok()) {
       continue;
     }
-    for (int c = 0; c < X3().machine().topology().NumCores(); ++c) {
-      used[assignment.machine_index][c] += assignment.placement->ThreadsOnCore(c);
-      EXPECT_LE(used[assignment.machine_index][c], 2);
+    for (int c = 0; c < cores; ++c) {
+      used[assignment->machine_index][c] += assignment->placement->ThreadsOnCore(c);
+      EXPECT_LE(used[assignment->machine_index][c], 2);
     }
   }
 }
 
-TEST(RackScheduler, FirstFitFillsNodeZeroFirst) {
-  RackScheduler scheduler(TwoNodeRack());
-  const std::vector<JobRequest> jobs{MakeJob("EP", 4)};
-  const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kFirstFit);
-  EXPECT_EQ(assignments[0].machine_index, 0);
+TEST(RackAdmit, FirstFitFillsNodeZeroFirst) {
+  Rack rack(TwoNodeRack());
+  const StatusOr<Assignment> assignment = rack.Admit(MakeJob("EP", 4), Policy::kFirstFit);
+  ASSERT_TRUE(assignment.ok());
+  EXPECT_EQ(assignment->machine_index, 0);
 }
 
-TEST(RackScheduler, BestSpeedupAvoidsTheBusyMachine) {
-  RackScheduler scheduler(TwoNodeRack());
+TEST(RackAdmit, BestSpeedupAvoidsTheBusyMachine) {
+  Rack rack(TwoNodeRack());
   // Saturate node0 with a bandwidth hog, then place another one.
-  const std::vector<JobRequest> first{MakeJob("Swim", 16)};
-  scheduler.Schedule(first, Policy::kFirstFit);
-  const std::vector<JobRequest> second{MakeJob("Swim", 16)};
-  const std::vector<Assignment> assignments =
-      scheduler.Schedule(second, Policy::kBestSpeedup);
-  EXPECT_EQ(assignments[0].machine_index, 1);
+  ASSERT_TRUE(rack.Admit(MakeJob("Swim", 16), Policy::kFirstFit).ok());
+  JobRequest second = MakeJob("Swim", 16);
+  second.name = "Swim-2";
+  const StatusOr<Assignment> assignment = rack.Admit(second, Policy::kBestSpeedup);
+  ASSERT_TRUE(assignment.ok());
+  EXPECT_EQ(assignment->machine_index, 1);
 }
 
-TEST(RackScheduler, HeterogeneousRackPrefersTheBiggerMachine) {
-  std::vector<RackMachine> machines{{"small", X3().description()},
-                                    {"big", X5().description()}};
-  RackScheduler scheduler(std::move(machines));
-  const std::vector<JobRequest> jobs{MakeJob("MD", 36)};
-  const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kBestSpeedup);
+TEST(RackAdmit, HeterogeneousRackPrefersTheBiggerMachine) {
+  Rack rack({{"small", X3().description()}, {"big", X5().description()}});
+  const StatusOr<Assignment> assignment =
+      rack.Admit(MakeJob("MD", 36), Policy::kBestSpeedup);
+  ASSERT_TRUE(assignment.ok());
   // MD scales: 36 threads on the Haswell beat 32 on the Sandy Bridge.
-  EXPECT_EQ(assignments[0].machine_index, 1);
-  EXPECT_EQ(assignments[0].placement->TotalThreads(), 36);
+  EXPECT_EQ(assignment->machine_index, 1);
+  EXPECT_EQ(assignment->placement->TotalThreads(), 36);
 }
 
-TEST(RackScheduler, SkipsMachinesWithoutADescription) {
-  std::vector<RackMachine> machines{{"small", X3().description()},
-                                    {"big", X5().description()}};
-  RackScheduler scheduler(std::move(machines));
+TEST(RackAdmit, SkipsMachinesWithoutADescription) {
+  Rack rack({{"small", X3().description()}, {"big", X5().description()}});
   JobRequest job;
   job.name = "CG-x5-only";
   job.requested_threads = 8;
   job.descriptions.emplace("x5-2", X5().Profile(workloads::ByName("CG")));
-  const std::vector<Assignment> assignments =
-      scheduler.Schedule(std::vector<JobRequest>{job}, Policy::kFirstFit);
-  EXPECT_EQ(assignments[0].machine_index, 1);
+  const StatusOr<Assignment> assignment = rack.Admit(job, Policy::kFirstFit);
+  ASSERT_TRUE(assignment.ok());
+  EXPECT_EQ(assignment->machine_index, 1);
 }
 
-TEST(RackScheduler, ReportsUnplaceableJobs) {
-  std::vector<RackMachine> machines{{"node0", X3().description()}};
-  RackScheduler scheduler(std::move(machines));
-  std::vector<JobRequest> jobs{MakeJob("EP", 32), MakeJob("EP", 32),
-                               MakeJob("EP", 4)};
-  const std::vector<Assignment> assignments =
-      scheduler.Schedule(jobs, Policy::kFirstFit);
-  EXPECT_GE(assignments[0].machine_index, 0);
-  EXPECT_EQ(assignments[1].machine_index, -1);  // machine already full
-  EXPECT_EQ(assignments[2].machine_index, -1);
+TEST(RackAdmit, ReportsUnplaceableJobs) {
+  Rack rack({{"node0", X3().description()}});
+  JobRequest first = MakeJob("EP", 32);
+  first.name = "EP-1";
+  JobRequest second = MakeJob("EP", 32);
+  second.name = "EP-2";
+  JobRequest third = MakeJob("EP", 4);
+  third.name = "EP-3";
+  EXPECT_TRUE(rack.Admit(first, Policy::kFirstFit).ok());
+  // The machine is already full.
+  EXPECT_EQ(rack.Admit(second, Policy::kFirstFit).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(rack.Admit(third, Policy::kFirstFit).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(rack.JobCount(), 1);
 }
 
-TEST(RackScheduler, LeastInterferenceBeatsFirstFitOnAggregateSpeedup) {
+TEST(RackAdmit, LeastInterferenceBeatsFirstFitOnAggregateSpeedup) {
   // Two bandwidth hogs and two compute jobs on two nodes: interference-
   // aware assignment pairs a hog with a compute job instead of stacking
   // the hogs.
   const std::vector<JobRequest> jobs{MakeJob("Swim", 8), MakeJob("Bwaves", 8),
                                      MakeJob("EP", 8), MakeJob("MD", 8)};
   auto aggregate = [&](Policy policy) {
-    RackScheduler scheduler(TwoNodeRack());
+    Rack rack(TwoNodeRack());
     double total = 0.0;
-    for (const Assignment& assignment : scheduler.Schedule(jobs, policy)) {
-      total += assignment.predicted_speedup;
+    for (const JobRequest& job : jobs) {
+      const StatusOr<Assignment> assignment = rack.Admit(job, policy);
+      if (assignment.ok()) {
+        total += assignment->predicted_speedup;
+      }
     }
     return total;
   };
@@ -337,20 +338,6 @@ TEST(Rack, TelemetryAdmitPredictionIsReplayStable) {
   EXPECT_GT(after.jobs[0].speedup_at_admit, 0.0);
 }
 
-TEST(Rack, ResetClearsTelemetry) {
-  Rack rack(TwoNodeRack());
-  ASSERT_TRUE(rack.Admit(MakeJob("EP", 4), Policy::kFirstFit).ok());
-  rack.Reset();
-  const Rack::TelemetrySnapshot snapshot = rack.Telemetry();
-  EXPECT_EQ(snapshot.mutation_seq, 0u);
-  EXPECT_TRUE(snapshot.jobs.empty());
-  // Post-reset admissions restart the sequence from 1.
-  ASSERT_TRUE(rack.Admit(MakeJob("MD", 2), Policy::kFirstFit).ok());
-  EXPECT_EQ(rack.Telemetry().mutation_seq, 1u);
-  ASSERT_EQ(rack.Telemetry().jobs.size(), 1u);
-  EXPECT_EQ(rack.Telemetry().jobs[0].admit_seq, 1u);
-}
-
 TEST(Rack, PredictMachineMatchesResidentOrder) {
   Rack rack(TwoNodeRack());
   ASSERT_TRUE(rack.Admit(MakeJob("EP", 4), Policy::kFirstFit).ok());
@@ -364,12 +351,75 @@ TEST(Rack, PredictMachineMatchesResidentOrder) {
   EXPECT_TRUE(rack.PredictMachine(1).empty());
 }
 
-TEST(RackScheduler, ResetClearsResidents) {
-  RackScheduler scheduler(TwoNodeRack());
-  scheduler.Schedule(std::vector<JobRequest>{MakeJob("EP", 8)}, Policy::kFirstFit);
-  EXPECT_FALSE(scheduler.ResidentsOf(0).empty());
-  scheduler.Reset();
-  EXPECT_TRUE(scheduler.ResidentsOf(0).empty());
+// The joint-prediction cache key covers the machine, the options and every
+// resident (workload, placement) pair, so a mutation on one machine cannot
+// make another machine's entry stale and needs no invalidation.
+TEST(Rack, PredictionCacheKeyIsTheResidentSet) {
+  PredictionCache::Global().Clear();
+  auto hits = [] {
+    return obs::MetricsRegistry::Global().counter("prediction_cache.hits").value();
+  };
+  auto misses = [] {
+    return obs::MetricsRegistry::Global().counter("prediction_cache.misses").value();
+  };
+  PredictionOptions uncached_options;
+  uncached_options.common.use_cache = false;
+  Rack cached(TwoNodeRack());
+  Rack uncached(TwoNodeRack(), uncached_options);
+  const MachineTopology& topo = X3().machine().topology();
+  const std::vector<SocketLoad> loads{{2, 0}, {0, 0}};
+  // Places a 2-thread `workload` on the next free cores of `machine` in
+  // both racks (AdmitAt predicts the machine, inserting its entry).
+  auto admit_both = [&](const std::string& workload, int machine) {
+    const JobRequest job = MakeJob(workload, 2);
+    const std::optional<Placement> placement =
+        PlaceLoadsOnFreeCores(topo, loads, cached.FreeThreads(machine));
+    ASSERT_TRUE(placement.has_value());
+    for (Rack* rack : {&cached, &uncached}) {
+      ASSERT_TRUE(
+          rack->AdmitAt(workload, machine, job.descriptions.at("x3-2"), *placement).ok());
+    }
+  };
+  auto depart_both = [&](const std::string& job) {
+    for (Rack* rack : {&cached, &uncached}) {
+      ASSERT_TRUE(rack->Depart(job).ok());
+    }
+  };
+  auto expect_same_as_uncached = [&](const std::vector<Prediction>& got) {
+    const std::vector<Prediction> want = uncached.PredictMachine(0);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].speedup),
+                std::bit_cast<uint64_t>(want[i].speedup));
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[i].time), std::bit_cast<uint64_t>(want[i].time));
+      EXPECT_EQ(got[i].iterations, want[i].iterations);
+      EXPECT_EQ(got[i].resource_load, want[i].resource_load);
+    }
+  };
+
+  admit_both("MD", 0);
+  admit_both("CG", 1);
+  admit_both("Swim", 1);
+
+  // A departure from machine 1 leaves machine 0's entry in place: one hit.
+  depart_both("Swim");
+  uint64_t hits0 = hits();
+  uint64_t misses0 = misses();
+  const std::vector<Prediction> after_other = cached.PredictMachine(0);
+  EXPECT_EQ(hits() - hits0, 1u);
+  EXPECT_EQ(misses() - misses0, 0u);
+  expect_same_as_uncached(after_other);
+
+  // A departure from machine 0 leaves a resident set ({EP}) never predicted
+  // before: one miss.
+  admit_both("EP", 0);
+  depart_both("MD");
+  hits0 = hits();
+  misses0 = misses();
+  const std::vector<Prediction> after_own = cached.PredictMachine(0);
+  EXPECT_EQ(hits() - hits0, 0u);
+  EXPECT_EQ(misses() - misses0, 1u);
+  expect_same_as_uncached(after_own);
 }
 
 }  // namespace
