@@ -88,6 +88,19 @@ void BM_FindBestPlacementSampled(benchmark::State& state) {
 }
 BENCHMARK(BM_FindBestPlacementSampled)->Arg(100)->Arg(1000);
 
+// One constrained advice on the x5-2's exhaustive space (18,144 canonical
+// placements, 189 of them on one socket) with a warm prediction cache: the
+// cost a candidate-sized search pays beyond its own cache hits.
+void BM_FindBestPlacementConstrained(benchmark::State& state) {
+  OptimizerOptions options;
+  options.constraint = MaxSocketsConstraint(1);
+  FindBestPlacement(MdPredictor(), options);  // warm the cache
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FindBestPlacement(MdPredictor(), options));
+  }
+}
+BENCHMARK(BM_FindBestPlacementConstrained);
+
 void BM_SimulatorRun(benchmark::State& state) {
   const sim::WorkloadSpec workload = workloads::ByName("CG");
   const MachineTopology& topo = X5Pipeline().machine().topology();

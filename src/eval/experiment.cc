@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "src/obs/metrics.h"
 #include "src/obs/parallel_metrics.h"
@@ -28,10 +29,12 @@ std::vector<Placement> SweepPlacements(const MachineTopology& topo,
                                        const SweepOptions& options) {
   std::vector<Placement> placements;
   if (CountCanonicalPlacements(topo) <= options.exhaustive_limit) {
-    placements = EnumerateCanonicalPlacements(topo);
+    const std::vector<Placement>& all = CanonicalPlacements(topo);
     if (options.filter) {
-      std::erase_if(placements,
-                    [&](const Placement& p) { return !options.filter(p); });
+      std::copy_if(all.begin(), all.end(), std::back_inserter(placements),
+                   options.filter);
+    } else {
+      placements = all;
     }
   } else {
     placements = SampleCanonicalPlacements(topo, options.sample_count, options.seed,
@@ -79,7 +82,7 @@ SweepResult RunSweep(const sim::Machine& machine, const Predictor& predictor,
     }
     {
       const obs::TraceSpan predict_span("sweep.predict");
-      pr.predicted_time = PredictCached(predictor, pr.placement, cache).time;
+      pr.predicted_time = PredictCached(predictor, pr.placement, cache)->time;
     }
     sweep_placements.Increment();
   });

@@ -1,6 +1,7 @@
 #include "src/predictor/optimizer.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "src/obs/metrics.h"
 #include "src/obs/parallel_metrics.h"
@@ -13,8 +14,21 @@
 namespace pandia {
 namespace {
 
-StatusOr<std::vector<Placement>> CandidatePlacements(const MachineTopology& topo,
-                                                     const OptimizerOptions& options) {
+// The candidate set of one search, as a view: pointers into the topology's
+// CanonicalPlacements() memo on the exhaustive path, or into `sampled`.
+// Move-only: a moved vector keeps its buffer, so the view stays valid; a
+// copy would point into the original.
+struct Candidates {
+  Candidates() = default;
+  Candidates(Candidates&&) = default;
+  Candidates& operator=(Candidates&&) = default;
+
+  std::vector<Placement> sampled;
+  std::vector<const Placement*> view;
+};
+
+StatusOr<Candidates> CandidatePlacements(const MachineTopology& topo,
+                                         const OptimizerOptions& options) {
   const obs::TraceSpan span("optimizer.candidates");
   // Reproducibility metrics: with these plus the constraint, a sweep's exact
   // candidate set can be reconstructed from logs alone.
@@ -33,24 +47,32 @@ StatusOr<std::vector<Placement>> CandidatePlacements(const MachineTopology& topo
 
   const uint64_t space = CountCanonicalPlacements(topo);
   space_size.Set(static_cast<double>(space));
-  std::vector<Placement> candidates;
+  Candidates candidates;
   if (space <= options.exhaustive_limit) {
     sampled.Set(0.0);
     exhaustive_runs.Increment();
-    candidates = EnumerateCanonicalPlacements(topo);
-    if (options.constraint) {
-      std::erase_if(candidates,
-                    [&](const Placement& p) { return !options.constraint(p); });
+    const std::vector<Placement>& all = CanonicalPlacements(topo);
+    if (!options.constraint) {
+      candidates.view.reserve(all.size());
+    }
+    for (const Placement& placement : all) {
+      if (!options.constraint || options.constraint(placement)) {
+        candidates.view.push_back(&placement);
+      }
     }
   } else {
     sampled.Set(1.0);
     sample_seed.Set(static_cast<double>(options.sample_seed));
     sample_count.Set(static_cast<double>(options.sample_count));
     sampled_runs.Increment();
-    candidates = SampleCanonicalPlacements(topo, options.sample_count,
-                                           options.sample_seed, options.constraint);
+    candidates.sampled = SampleCanonicalPlacements(
+        topo, options.sample_count, options.sample_seed, options.constraint);
+    candidates.view.reserve(candidates.sampled.size());
+    for (const Placement& placement : candidates.sampled) {
+      candidates.view.push_back(&placement);
+    }
   }
-  if (candidates.empty()) {
+  if (candidates.view.empty()) {
     return Status::InvalidArgument("no placements satisfy the constraint");
   }
   return candidates;
@@ -64,24 +86,25 @@ obs::Counter& PlacementsEvaluatedCounter() {
 
 // Predicts every candidate, fanning out across options.common.jobs workers. Each
 // prediction lands in the slot matching its candidate index, so the result
-// vector is identical to a serial loop regardless of job count.
-std::vector<Prediction> PredictCandidates(const Predictor& predictor,
-                                          const std::vector<Placement>& candidates,
-                                          const OptimizerOptions& options) {
+// vector is identical to a serial loop regardless of job count. Cache hits
+// are shared with the cache, not copied.
+std::vector<std::shared_ptr<const Prediction>> PredictCandidates(
+    const Predictor& predictor, const std::vector<const Placement*>& candidates,
+    const OptimizerOptions& options) {
   obs::InstallParallelMetrics();
   PlacementsEvaluatedCounter().Increment(candidates.size());
-  std::vector<Prediction> predictions(candidates.size());
+  std::vector<std::shared_ptr<const Prediction>> predictions(candidates.size());
   PredictionCache* cache =
       options.common.use_cache ? &PredictionCache::Global() : nullptr;
   util::ParallelFor(candidates.size(), options.common.jobs, [&](size_t i) {
-    predictions[i] = PredictCached(predictor, candidates[i], cache);
+    predictions[i] = PredictCached(predictor, *candidates[i], cache);
   });
   // Divergent solves keep their slot (the ranking stays deterministic and
   // complete) but are surfaced: counted here, flagged in reports, and never
   // memoized (see PredictCached).
   uint64_t non_converged = 0;
-  for (const Prediction& prediction : predictions) {
-    if (!prediction.converged) {
+  for (const std::shared_ptr<const Prediction>& prediction : predictions) {
+    if (!prediction->converged) {
       ++non_converged;
     }
   }
@@ -97,12 +120,9 @@ std::vector<Prediction> PredictCandidates(const Predictor& predictor,
 
 std::function<bool(const Placement&)> NoSmtConstraint() {
   return [](const Placement& placement) {
-    for (const SocketLoad& load : placement.SocketLoads()) {
-      if (load.doubles > 0) {
-        return false;
-      }
-    }
-    return true;
+    const std::vector<uint8_t>& per_core = placement.PerCore();
+    return std::none_of(per_core.begin(), per_core.end(),
+                        [](uint8_t threads) { return threads >= 2; });
   };
 }
 
@@ -150,27 +170,26 @@ StatusOr<std::vector<RankedPlacement>> TryRankPlacements(
     return Status::InvalidArgument("top_k must be positive");
   }
   const obs::TraceSpan span("optimizer.rank");
-  StatusOr<std::vector<Placement>> candidates_or =
+  StatusOr<Candidates> candidates =
       CandidatePlacements(predictor.machine().topo, options);
-  PANDIA_RETURN_IF_ERROR(candidates_or.status());
-  std::vector<Placement>& candidates = *candidates_or;
-  std::vector<Prediction> predictions =
-      PredictCandidates(predictor, candidates, options);
-  std::vector<RankedPlacement> ranked;
-  ranked.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    ranked.push_back(
-        RankedPlacement{std::move(candidates[i]), std::move(predictions[i])});
+  PANDIA_RETURN_IF_ERROR(candidates.status());
+  const std::vector<std::shared_ptr<const Prediction>> predictions =
+      PredictCandidates(predictor, candidates->view, options);
+  std::vector<size_t> order(predictions.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = i;
   }
-  // Stable sort with candidates in their deterministic enumeration/sample
+  // Stable sort over candidates in their deterministic enumeration/sample
   // order: speedup ties resolve to the earlier candidate, so the ranking is
   // reproducible across runs and identical at every job count.
-  std::stable_sort(ranked.begin(), ranked.end(),
-                   [](const RankedPlacement& a, const RankedPlacement& b) {
-                     return a.prediction.speedup > b.prediction.speedup;
-                   });
-  if (ranked.size() > top_k) {
-    ranked.erase(ranked.begin() + static_cast<ptrdiff_t>(top_k), ranked.end());
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return predictions[a]->speedup > predictions[b]->speedup;
+  });
+  order.resize(std::min(order.size(), top_k));
+  std::vector<RankedPlacement> ranked;
+  ranked.reserve(order.size());
+  for (const size_t i : order) {
+    ranked.push_back(RankedPlacement{*candidates->view[i], *predictions[i]});
   }
   return ranked;
 }
@@ -183,43 +202,42 @@ StatusOr<RankedPlacement> TryFindCheapestPlacement(const Predictor& predictor,
         "target_fraction must be in (0, 1]");
   }
   const obs::TraceSpan span("optimizer.cheapest");
-  StatusOr<std::vector<Placement>> candidates_or =
+  StatusOr<Candidates> candidates =
       CandidatePlacements(predictor.machine().topo, options);
-  PANDIA_RETURN_IF_ERROR(candidates_or.status());
-  std::vector<Placement>& candidates = *candidates_or;
-  std::vector<Prediction> predictions =
-      PredictCandidates(predictor, candidates, options);
+  PANDIA_RETURN_IF_ERROR(candidates.status());
+  const std::vector<const Placement*>& view = candidates->view;
+  const std::vector<std::shared_ptr<const Prediction>> predictions =
+      PredictCandidates(predictor, view, options);
   double best_speedup = 0.0;
-  std::vector<RankedPlacement> all;
-  all.reserve(candidates.size());
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    all.push_back(
-        RankedPlacement{std::move(candidates[i]), std::move(predictions[i])});
-    best_speedup = std::max(best_speedup, all.back().prediction.speedup);
+  for (const std::shared_ptr<const Prediction>& prediction : predictions) {
+    best_speedup = std::max(best_speedup, prediction->speedup);
   }
   const double target = best_speedup * target_fraction;
-  std::optional<RankedPlacement> cheapest;
-  auto cost_less = [](const RankedPlacement& a, const RankedPlacement& b) {
-    if (a.placement.TotalThreads() != b.placement.TotalThreads()) {
-      return a.placement.TotalThreads() < b.placement.TotalThreads();
+  // Index-based cost order; the winner alone is copied out.
+  auto cost_less = [&](size_t a, size_t b) {
+    const Placement& pa = *view[a];
+    const Placement& pb = *view[b];
+    if (pa.TotalThreads() != pb.TotalThreads()) {
+      return pa.TotalThreads() < pb.TotalThreads();
     }
-    if (a.placement.NumActiveSockets() != b.placement.NumActiveSockets()) {
-      return a.placement.NumActiveSockets() < b.placement.NumActiveSockets();
+    if (pa.NumActiveSockets() != pb.NumActiveSockets()) {
+      return pa.NumActiveSockets() < pb.NumActiveSockets();
     }
-    return a.prediction.speedup > b.prediction.speedup;
+    return predictions[a]->speedup > predictions[b]->speedup;
   };
-  for (RankedPlacement& candidate : all) {
-    if (candidate.prediction.speedup + 1e-12 < target) {
+  std::optional<size_t> cheapest;
+  for (size_t i = 0; i < predictions.size(); ++i) {
+    if (predictions[i]->speedup + 1e-12 < target) {
       continue;
     }
-    if (!cheapest.has_value() || cost_less(candidate, *cheapest)) {
-      cheapest = std::move(candidate);
+    if (!cheapest.has_value() || cost_less(i, *cheapest)) {
+      cheapest = i;
     }
   }
   // The best candidate always meets its own target, so a non-empty
   // candidate set guarantees a result.
   PANDIA_CHECK(cheapest.has_value());
-  return *std::move(cheapest);
+  return RankedPlacement{*view[*cheapest], *predictions[*cheapest]};
 }
 
 std::optional<RankedPlacement> FindCheapestPlacement(const Predictor& predictor,

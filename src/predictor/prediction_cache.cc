@@ -5,6 +5,7 @@
 #include <string_view>
 
 #include "src/obs/metrics.h"
+#include "src/util/check.h"
 
 namespace pandia {
 namespace {
@@ -159,7 +160,7 @@ PredictionCache::Shard& PredictionCache::ShardFor(const PredictionCacheKey& key)
   return shards_[KeyHash{}(key) % kShards];
 }
 
-std::optional<Prediction> PredictionCache::Lookup(const PredictionCacheKey& key) {
+std::shared_ptr<const Prediction> PredictionCache::Find(const PredictionCacheKey& key) {
   {
     Shard& shard = ShardFor(key);
     util::MutexLock lock(shard.mu);
@@ -170,11 +171,24 @@ std::optional<Prediction> PredictionCache::Lookup(const PredictionCacheKey& key)
     }
   }
   MissesCounter().Increment();
+  return nullptr;
+}
+
+std::optional<Prediction> PredictionCache::Lookup(const PredictionCacheKey& key) {
+  if (std::shared_ptr<const Prediction> hit = Find(key)) {
+    return *hit;
+  }
   return std::nullopt;
 }
 
 void PredictionCache::Insert(const PredictionCacheKey& key,
                              const Prediction& prediction) {
+  Insert(key, std::make_shared<const Prediction>(prediction));
+}
+
+void PredictionCache::Insert(const PredictionCacheKey& key,
+                             std::shared_ptr<const Prediction> prediction) {
+  PANDIA_CHECK(prediction != nullptr);
   size_t evicted = 0;
   bool inserted = false;
   {
@@ -182,7 +196,7 @@ void PredictionCache::Insert(const PredictionCacheKey& key,
     util::MutexLock lock(shard.mu);
     // First writer wins; racing inserts of the same key computed the same
     // value, so dropping the duplicate is free.
-    inserted = shard.entries.emplace(key, prediction).second;
+    inserted = shard.entries.emplace(key, std::move(prediction)).second;
     if (inserted) {
       shard.fifo.push_back(key);
       while (shard.fifo.size() > per_shard_capacity_) {
@@ -216,21 +230,22 @@ void PredictionCache::Clear() {
   SizeGauge().Set(0.0);
 }
 
-Prediction PredictCached(const Predictor& predictor, const Placement& placement,
-                         PredictionCache* cache) {
+std::shared_ptr<const Prediction> PredictCached(const Predictor& predictor,
+                                                const Placement& placement,
+                                                PredictionCache* cache) {
   if (cache == nullptr || predictor.options().common.trace != nullptr) {
-    return predictor.Predict(placement);
+    return std::make_shared<const Prediction>(predictor.Predict(placement));
   }
   const PredictionCacheKey key{predictor.context_fingerprint(),
                                PlacementFingerprint(placement)};
-  if (std::optional<Prediction> hit = cache->Lookup(key)) {
-    return *std::move(hit);
+  if (std::shared_ptr<const Prediction> hit = cache->Find(key)) {
+    return hit;
   }
-  Prediction prediction = predictor.Predict(placement);
+  auto prediction = std::make_shared<const Prediction>(predictor.Predict(placement));
   // A prediction that never settled (even after the adaptive-damping retry)
   // is a property of this solve, not of the (context, placement) key; caching
   // it would hand the divergent numbers to every future caller silently.
-  if (prediction.converged) {
+  if (prediction->converged) {
     cache->Insert(key, prediction);
   } else {
     static obs::Counter& rejected = obs::MetricsRegistry::Global().counter(

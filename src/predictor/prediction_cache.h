@@ -13,10 +13,13 @@
 //
 // The cache is sharded (16 shards, each a mutex + hash map + FIFO ring), so
 // concurrent lookups from the ParallelFor workers contend only per shard.
-// Hits return a copy of the stored Prediction; concurrent inserts of the
-// same key keep the first value (all callers compute identical values, so
-// which copy wins is unobservable). When a shard exceeds its capacity the
-// oldest entry in that shard is evicted.
+// Entries are immutable and shared: Find() hands out the stored
+// shared_ptr<const Prediction> (no copy of the per-thread vectors), and the
+// holder keeps it alive even if a concurrent Insert evicts the entry. A
+// raw pointer into the map would dangle in exactly that case. Concurrent
+// inserts of the same key keep the first value (all callers compute
+// identical values, so which copy wins is unobservable). When a shard
+// exceeds its capacity the oldest entry in that shard is evicted.
 //
 // No invalidation: a Prediction is a pure function of its key's inputs, so
 // an entry can never go stale. Holders of mutable co-scheduling state (the
@@ -33,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 
@@ -85,6 +89,12 @@ class PredictionCache {
   // Process-wide cache used by the optimizer and the eval sweeps.
   static PredictionCache& Global();
 
+  // The shared entry for `key`, or null on a miss; counts one hit or miss.
+  std::shared_ptr<const Prediction> Find(const PredictionCacheKey& key);
+  void Insert(const PredictionCacheKey& key,
+              std::shared_ptr<const Prediction> prediction);
+
+  // Copying forms of Find and Insert.
   std::optional<Prediction> Lookup(const PredictionCacheKey& key);
   void Insert(const PredictionCacheKey& key, const Prediction& prediction);
 
@@ -99,8 +109,9 @@ class PredictionCache {
   struct Shard {
     mutable util::Mutex mu{"predictor.cache_shard",
                            util::kLockRankPredictorCacheShard};
-    std::unordered_map<PredictionCacheKey, Prediction, KeyHash> entries
-        PANDIA_GUARDED_BY(mu);
+    std::unordered_map<PredictionCacheKey, std::shared_ptr<const Prediction>,
+                       KeyHash>
+        entries PANDIA_GUARDED_BY(mu);
     // Insertion order, for eviction.
     std::deque<PredictionCacheKey> fifo PANDIA_GUARDED_BY(mu);
   };
@@ -113,12 +124,14 @@ class PredictionCache {
 };
 
 // Predict with memoization: returns the cached Prediction for (predictor
-// context, placement) or computes and inserts it. Falls back to a direct
-// predictor.Predict when `cache` is null or the predictor carries a
-// convergence-trace hook (a cache hit would silently skip recording, and
-// concurrent traced solves would race on the shared trace buffer).
-Prediction PredictCached(const Predictor& predictor, const Placement& placement,
-                         PredictionCache* cache);
+// context, placement), shared with the cache, or computes and inserts it.
+// Falls back to a direct predictor.Predict when `cache` is null or the
+// predictor carries a convergence-trace hook (a cache hit would silently
+// skip recording, and concurrent traced solves would race on the shared
+// trace buffer). Never returns null.
+std::shared_ptr<const Prediction> PredictCached(const Predictor& predictor,
+                                                const Placement& placement,
+                                                PredictionCache* cache);
 
 }  // namespace pandia
 

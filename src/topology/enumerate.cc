@@ -1,10 +1,13 @@
 #include "src/topology/enumerate.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "src/util/check.h"
+#include "src/util/mutex.h"
 #include "src/util/rng.h"
+#include "src/util/thread_annotations.h"
 
 namespace pandia {
 namespace {
@@ -38,6 +41,22 @@ void EmitMultisets(const MachineTopology& topo, const std::vector<SocketLoad>& l
     current[socket] = loads[i];
     EmitMultisets(topo, loads, current, i, socket + 1, out);
   }
+}
+
+// Process-wide CanonicalPlacements() memo. Entries own their vectors
+// through unique_ptr, so a returned reference survives later insertions.
+struct PlacementMemo {
+  struct Entry {
+    MachineTopology topo;
+    std::unique_ptr<const std::vector<Placement>> placements;
+  };
+  util::Mutex mu{"topology.placement_memo", util::kLockRankTopologyPlacementMemo};
+  std::vector<Entry> entries PANDIA_GUARDED_BY(mu);
+};
+
+PlacementMemo& Memo() {
+  static PlacementMemo* memo = new PlacementMemo;
+  return *memo;
 }
 
 uint64_t MultisetCount(uint64_t options, int slots) {
@@ -76,6 +95,22 @@ std::vector<Placement> EnumerateCanonicalPlacements(const MachineTopology& topo)
   EmitMultisets(topo, loads, current, loads.size() - 1, 0, out);
   std::sort(out.begin(), out.end(), Placement::PaperOrderLess);
   return out;
+}
+
+const std::vector<Placement>& CanonicalPlacements(const MachineTopology& topo) {
+  PlacementMemo& memo = Memo();
+  // Enumerating under the lock makes concurrent first calls for one
+  // topology build it once; every later call is a short scan.
+  util::MutexLock lock(memo.mu);
+  for (const PlacementMemo::Entry& entry : memo.entries) {
+    if (entry.topo == topo) {
+      return *entry.placements;
+    }
+  }
+  memo.entries.push_back(PlacementMemo::Entry{
+      topo, std::make_unique<const std::vector<Placement>>(
+                EnumerateCanonicalPlacements(topo))});
+  return *memo.entries.back().placements;
 }
 
 std::vector<Placement> SampleCanonicalPlacements(

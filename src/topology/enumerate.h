@@ -28,8 +28,16 @@ uint64_t CountCanonicalPlacements(const MachineTopology& topo);
 
 // All canonical placements, excluding the all-empty placement, in paper order
 // (total threads, then per-core counts). Intended for machines where
-// CountCanonicalPlacements() is small (call sites should check).
+// CountCanonicalPlacements() is small (call sites should check). Builds a
+// fresh vector on every call; repeated searches use CanonicalPlacements().
 std::vector<Placement> EnumerateCanonicalPlacements(const MachineTopology& topo);
+
+// EnumerateCanonicalPlacements(topo), built once per distinct topology and
+// shared for the life of the process (thread-safe, never evicted). The key
+// is the whole topology, not just its shape: a Placement carries its
+// topology by value, so every returned placement's topology() == topo. Same
+// size caveat as above; each entry costs one enumeration's worth of memory.
+const std::vector<Placement>& CanonicalPlacements(const MachineTopology& topo);
 
 // Deterministic sample of at most `count` distinct canonical placements that
 // satisfy `filter` (nullptr = accept all), in paper order. Sampling is

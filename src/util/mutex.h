@@ -70,6 +70,7 @@ inline constexpr int kLockRankObsTrace = 55;          // tracer registry
 inline constexpr int kLockRankObsTraceBuffer = 56;    // per-thread trace buffer
 inline constexpr int kLockRankObsLog = 60;            // log sink
 inline constexpr int kLockRankObsFlightRecorder = 65;  // flight-recorder ring
+inline constexpr int kLockRankTopologyPlacementMemo = 70;  // canonical-placement memo (leaf)
 
 class CondVar;
 
@@ -89,8 +90,12 @@ class PANDIA_CAPABILITY("mutex") Mutex {
     mu_.lock();
   }
   void Unlock() PANDIA_RELEASE() {
+    // Read rank_ while still holding the lock: once it is released, a
+    // waiter may return and destroy this mutex (ParallelFor's stack-local
+    // completion latch does), and OnUnlock only uses `this` as a key.
+    const bool ranked = rank_ != kLockRankUnranked && LockRankCheckingEnabled();
     mu_.unlock();
-    if (rank_ != kLockRankUnranked && LockRankCheckingEnabled()) {
+    if (ranked) {
       lock_rank_internal::OnUnlock(this);
     }
   }

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "src/serve/client.h"
 #include "src/serve/fleet_service.h"
 #include "src/serve/socket.h"
+#include "src/topology/enumerate.h"
 #include "src/util/lock_rank.h"
 #include "src/util/parallel.h"
 #include "src/util/strings.h"
@@ -216,6 +218,35 @@ TEST(ConcurrencyRegression, PredictionCacheConcurrentInsertLookupInvalidate) {
   EXPECT_GT(hits.load(), 0u);
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(ConcurrencyRegression, CanonicalPlacementsFirstCallsShareOneVector) {
+  // A topology no other test enumerates, so these calls race to build it.
+  const MachineTopology topo{.name = "memo-race",
+                             .num_sockets = 2,
+                             .cores_per_socket = 6,
+                             .threads_per_core = 2,
+                             .l1_size = 0.032,
+                             .l2_size = 0.25,
+                             .l3_size = 15.0};
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const std::vector<Placement>*> seen(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = &CanonicalPlacements(topo);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+  ASSERT_NE(seen[0], nullptr);
+  EXPECT_EQ(seen[0]->size(), CountCanonicalPlacements(topo));
+  EXPECT_TRUE(seen[0]->front().topology() == topo);
 }
 
 TEST(ConcurrencyRegression, ServiceSurvivesConcurrentSocketClients) {

@@ -4,6 +4,7 @@
 #include "src/predictor/optimizer.h"
 #include "src/sim/machine.h"
 #include "src/sim/machine_spec.h"
+#include "src/topology/enumerate.h"
 
 namespace pandia {
 namespace {
@@ -40,6 +41,26 @@ TEST(OptimizerConstraints, NoSmtExcludesDoubledCores) {
   }
   // A scalable workload still uses every core.
   EXPECT_EQ(best.placement.TotalThreads(), X3Desc().topo.NumCores());
+}
+
+TEST(OptimizerConstraints, NoSmtMatchesTheSocketLoadDefinition) {
+  // NoSmtConstraint reads per-core counts; its definition is "no socket
+  // load has a doubled core".
+  const auto no_smt = NoSmtConstraint();
+  for (const sim::MachineSpec& spec : {sim::MakeX3_2(), sim::MakeX5_2()}) {
+    size_t admitted = 0;
+    for (const Placement& placement : EnumerateCanonicalPlacements(spec.topo)) {
+      bool doubles = false;
+      for (const SocketLoad& load : placement.SocketLoads()) {
+        doubles = doubles || load.doubles > 0;
+      }
+      ASSERT_EQ(no_smt(placement), !doubles) << placement.ToString();
+      admitted += doubles ? 0 : 1;
+    }
+    // Singles-only multisets of two sockets' loads, minus the empty one.
+    const size_t loads = static_cast<size_t>(spec.topo.cores_per_socket) + 1;
+    EXPECT_EQ(admitted, loads * (loads + 1) / 2 - 1) << spec.topo.name;
+  }
 }
 
 TEST(OptimizerConstraints, MaxSocketsKeepsPlacementLocal) {

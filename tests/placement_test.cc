@@ -162,6 +162,36 @@ TEST(Enumerate, EnumerationExcludesEmptyAndIncludesFullMachine) {
   EXPECT_EQ(all.back().TotalThreads(), topo.NumHwThreads());
 }
 
+TEST(Enumerate, CanonicalPlacementsIsBuiltOncePerTopology) {
+  const MachineTopology topo = SmallTopo();
+  const std::vector<Placement>& first = CanonicalPlacements(topo);
+  const std::vector<Placement>& second = CanonicalPlacements(SmallTopo());
+  EXPECT_EQ(&first, &second);
+  const std::vector<Placement> fresh = EnumerateCanonicalPlacements(topo);
+  ASSERT_EQ(first.size(), fresh.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_TRUE(first[i] == fresh[i]) << i;
+  }
+}
+
+TEST(Enumerate, CanonicalPlacementsKeysOnTheWholeTopology) {
+  // Same shape, so the same per-core vectors; but each placement carries
+  // its topology, so a shape-only key would hand out the wrong machine.
+  MachineTopology renamed = SmallTopo();
+  renamed.name = "small-renamed";
+  MachineTopology bigger_l3 = SmallTopo();
+  bigger_l3.l3_size = 16.0;
+  for (const MachineTopology& topo : {SmallTopo(), renamed, bigger_l3}) {
+    const std::vector<Placement>& all = CanonicalPlacements(topo);
+    ASSERT_EQ(all.size(), CountCanonicalPlacements(topo));
+    for (const Placement& placement : all) {
+      ASSERT_TRUE(placement.topology() == topo) << topo.name;
+    }
+  }
+  EXPECT_NE(&CanonicalPlacements(SmallTopo()), &CanonicalPlacements(renamed));
+  EXPECT_NE(&CanonicalPlacements(SmallTopo()), &CanonicalPlacements(bigger_l3));
+}
+
 TEST(Enumerate, SampleIsDeterministicAndDeduplicated) {
   MachineTopology topo = SmallTopo();
   topo.cores_per_socket = 8;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/prediction_trace.h"
 #include "src/predictor/optimizer.h"
+#include "src/topology/enumerate.h"
 #include "src/workloads/workloads.h"
 
 namespace pandia {
@@ -126,6 +128,27 @@ TEST(PredictionCache, ClearEmptiesEveryShard) {
   EXPECT_FALSE(cache.Lookup(PredictionCacheKey{1, 1}).has_value());
 }
 
+TEST(PredictionCache, HeldFindResultOutlivesEviction) {
+  // 1 entry per shard: inserting keys until `key` is evicted frees the
+  // map's reference, not the caller's.
+  PredictionCache cache(1);
+  const PredictionCacheKey key{7, 7};
+  Prediction prediction;
+  prediction.speedup = 4.25;
+  prediction.threads.resize(32);
+  prediction.threads[31].overall_slowdown = 1.5;
+  cache.Insert(key, prediction);
+  const std::shared_ptr<const Prediction> held = cache.Find(key);
+  ASSERT_NE(held, nullptr);
+  for (uint64_t i = 0; i < 256 && cache.Find(key) != nullptr; ++i) {
+    cache.Insert(PredictionCacheKey{i, i * 31}, Prediction{});
+  }
+  ASSERT_EQ(cache.Find(key), nullptr);
+  EXPECT_EQ(held->speedup, 4.25);
+  ASSERT_EQ(held->threads.size(), 32u);
+  EXPECT_EQ(held->threads[31].overall_slowdown, 1.5);
+}
+
 TEST(PredictCached, MatchesDirectPredictionAndHitsOnRepeat) {
   PredictionCache cache(1024);
   const MachineTopology& topo = X3Pipeline().machine().topology();
@@ -133,12 +156,15 @@ TEST(PredictCached, MatchesDirectPredictionAndHitsOnRepeat) {
   const Prediction direct = MdPredictor().Predict(placement);
   const uint64_t hits0 = CounterValue("prediction_cache.hits");
 
-  const Prediction first = PredictCached(MdPredictor(), placement, &cache);
-  const Prediction second = PredictCached(MdPredictor(), placement, &cache);
-  EXPECT_EQ(first.speedup, direct.speedup);
-  EXPECT_EQ(first.time, direct.time);
-  EXPECT_EQ(first.iterations, direct.iterations);
-  EXPECT_EQ(second.speedup, direct.speedup);
+  const std::shared_ptr<const Prediction> first =
+      PredictCached(MdPredictor(), placement, &cache);
+  const std::shared_ptr<const Prediction> second =
+      PredictCached(MdPredictor(), placement, &cache);
+  EXPECT_EQ(first->speedup, direct.speedup);
+  EXPECT_EQ(first->time, direct.time);
+  EXPECT_EQ(first->iterations, direct.iterations);
+  EXPECT_EQ(second->speedup, direct.speedup);
+  EXPECT_EQ(first, second);  // the hit shares the inserted entry
   EXPECT_EQ(CounterValue("prediction_cache.hits") - hits0, 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
@@ -185,6 +211,88 @@ TEST(ParallelSearch, SerialAndParallelRankingsAreIdentical) {
             << "position " << i << " jobs " << jobs << " cache " << use_cache;
         ASSERT_EQ(serial[i].prediction.speedup, parallel[i].prediction.speedup)
             << "position " << i << " jobs " << jobs << " cache " << use_cache;
+      }
+    }
+  }
+}
+
+// The optimizer's cache traffic: one lookup per candidate and one insert
+// per converged miss, whether it ranks or finds the cheapest placement.
+TEST(OptimizerCache, OneLookupPerCandidateAndOneInsertPerConvergedMiss) {
+  PredictionCache::Global().Clear();
+  OptimizerOptions options;
+  options.common.jobs = 1;
+  options.constraint = MaxSocketsConstraint(1);
+  size_t candidates = 0;
+  for (const Placement& placement : CanonicalPlacements(MdPredictor().machine().topo)) {
+    candidates += options.constraint(placement) ? 1 : 0;
+  }
+  ASSERT_GT(candidates, 0u);
+
+  const uint64_t hits0 = CounterValue("prediction_cache.hits");
+  const uint64_t misses0 = CounterValue("prediction_cache.misses");
+  const uint64_t insertions0 = CounterValue("prediction_cache.insertions");
+  const uint64_t rejected0 = CounterValue("prediction_cache.non_converged_rejected");
+  ASSERT_TRUE(TryRankPlacements(MdPredictor(), 3, options).ok());
+  const uint64_t misses = CounterValue("prediction_cache.misses") - misses0;
+  const uint64_t rejected =
+      CounterValue("prediction_cache.non_converged_rejected") - rejected0;
+  EXPECT_EQ(CounterValue("prediction_cache.hits") - hits0, 0u);
+  EXPECT_EQ(misses, candidates);
+  EXPECT_EQ(CounterValue("prediction_cache.insertions") - insertions0,
+            misses - rejected);
+
+  // Repeating the advice, by either objective, is a hit per cached candidate.
+  const uint64_t hits1 = CounterValue("prediction_cache.hits");
+  const uint64_t misses1 = CounterValue("prediction_cache.misses");
+  const uint64_t insertions1 = CounterValue("prediction_cache.insertions");
+  ASSERT_TRUE(TryFindCheapestPlacement(MdPredictor(), 0.9, options).ok());
+  EXPECT_EQ(CounterValue("prediction_cache.hits") - hits1, candidates - rejected);
+  EXPECT_EQ(CounterValue("prediction_cache.misses") - misses1, rejected);
+  EXPECT_EQ(CounterValue("prediction_cache.insertions") - insertions1, 0u);
+}
+
+void ExpectSamePrediction(const Prediction& a, const Prediction& b) {
+  EXPECT_EQ(a.amdahl_speedup, b.amdahl_speedup);
+  EXPECT_EQ(a.speedup, b.speedup);
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.converged, b.converged);
+  EXPECT_EQ(a.final_delta, b.final_delta);
+  EXPECT_EQ(a.resource_load, b.resource_load);
+  ASSERT_EQ(a.threads.size(), b.threads.size());
+  for (size_t t = 0; t < a.threads.size(); ++t) {
+    EXPECT_TRUE(a.threads[t].location == b.threads[t].location);
+    EXPECT_EQ(a.threads[t].overall_slowdown, b.threads[t].overall_slowdown);
+    EXPECT_EQ(a.threads[t].utilization, b.threads[t].utilization);
+    EXPECT_EQ(a.threads[t].bottleneck, b.threads[t].bottleneck);
+  }
+}
+
+TEST(OptimizerCache, CachedTopFiveMatchesUncachedBitForBit) {
+  OptimizerOptions uncached_options;
+  uncached_options.common.jobs = 1;
+  uncached_options.common.use_cache = false;
+  StatusOr<std::vector<RankedPlacement>> uncached =
+      TryRankPlacements(MdPredictor(), 5, uncached_options);
+  ASSERT_TRUE(uncached.ok());
+  ASSERT_EQ(uncached->size(), 5u);
+  PredictionCache::Global().Clear();
+  for (int jobs : {1, 4}) {
+    // Twice: the first pass fills the cache, the second is all hits.
+    for (int pass = 0; pass < 2; ++pass) {
+      OptimizerOptions options;
+      options.common.jobs = jobs;
+      StatusOr<std::vector<RankedPlacement>> cached =
+          TryRankPlacements(MdPredictor(), 5, options);
+      ASSERT_TRUE(cached.ok());
+      ASSERT_EQ(cached->size(), uncached->size());
+      for (size_t i = 0; i < cached->size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "jobs " << jobs << " pass " << pass
+                                        << " rank " << i);
+        EXPECT_TRUE((*cached)[i].placement == (*uncached)[i].placement);
+        EXPECT_TRUE((*cached)[i].placement.topology() == MdPredictor().machine().topo);
+        ExpectSamePrediction((*cached)[i].prediction, (*uncached)[i].prediction);
       }
     }
   }
