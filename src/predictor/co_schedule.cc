@@ -326,7 +326,7 @@ CoSchedulePredictor::SolveOutcome CoSchedulePredictor::Solve(
     s.job_num_threads[r] = num_threads;
     const double p = workload.parallel_fraction;
     PANDIA_CHECK(p >= 0.0 && p <= 1.0);
-    s.job_amdahl[r] = 1.0 / ((1.0 - p) + p / num_threads);
+    s.job_amdahl[r] = AmdahlSpeedup(p, num_threads);
     s.job_f_initial[r] = s.job_amdahl[r] / num_threads;
     s.job_os[r] = options_.model_communication ? workload.inter_socket_overhead : 0.0;
     s.job_l[r] = options_.model_load_balance ? workload.load_balance : 1.0;
@@ -855,7 +855,7 @@ void CoSchedulePredictor::AssembleJob(size_t j, const SolverScratch& s,
     tp.utilization = f_initial / s.s_overall[t];
     tp.bottleneck = s.bottleneck[t];
   }
-  out->speedup = s.job_amdahl[j] * harmonic / num_threads;
+  out->speedup = JobSpeedup(s.job_amdahl[j], harmonic, num_threads);
   out->time = t1 / out->speedup;
   out->iterations = outcome.iterations;
   out->converged = outcome.converged;

@@ -39,6 +39,27 @@ struct CoSchedulePrediction {
   std::vector<double> resource_load;
 };
 
+// §5.5's speedup, factored so the solver and the bound below evaluate the
+// same floating-point expressions: Amdahl's law for `threads` threads, and
+// that speedup times the mean reciprocal slowdown, where `harmonic` is the
+// sum of 1/s_overall over the job's threads.
+inline double AmdahlSpeedup(double parallel_fraction, int threads) {
+  return 1.0 / ((1.0 - parallel_fraction) + parallel_fraction / threads);
+}
+inline double JobSpeedup(double amdahl, double harmonic, int threads) {
+  return amdahl * harmonic / threads;
+}
+
+// Exact ceiling on any joint prediction's speedup for a job with `threads`
+// threads: the §5.4 clamp keeps every slowdown at 1 or more, so each term
+// 1/s_overall is at most 1 and their rounded sum at most `threads`; the
+// bound is JobSpeedup with the sum at that maximum, and rounding is
+// monotone, so speedup <= AmdahlBound holds bit for bit, not just within
+// an epsilon (tests/co_schedule_test.cc checks it without slack).
+inline double AmdahlBound(double parallel_fraction, int threads) {
+  return JobSpeedup(AmdahlSpeedup(parallel_fraction, threads), threads, threads);
+}
+
 class CoSchedulePredictor {
  public:
   explicit CoSchedulePredictor(MachineDescription machine,

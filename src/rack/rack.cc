@@ -1,6 +1,7 @@
 #include "src/rack/rack.h"
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <set>
 
@@ -92,6 +93,16 @@ obs::Counter& DeparturesCounter() {
 }
 obs::Counter& MovesCounter() {
   static obs::Counter& counter = obs::MetricsRegistry::Global().counter("rack.moves");
+  return counter;
+}
+obs::Counter& ProbeSolvesCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().counter("rack.probe_solves");
+  return counter;
+}
+obs::Counter& ProbesPrunedCounter() {
+  static obs::Counter& counter =
+      obs::MetricsRegistry::Global().counter("rack.probes_pruned");
   return counter;
 }
 
@@ -238,12 +249,25 @@ int Rack::FreeThreadCount(int machine_index) const {
   return std::accumulate(free.begin(), free.end(), 0);
 }
 
-std::vector<Prediction> Rack::PredictResidents(
+std::vector<const RackJob*> Rack::ResidentsExcept(int machine_index,
+                                                 const std::string* exclude_job) const {
+  std::vector<const RackJob*> jobs;
+  jobs.reserve(residents_[machine_index].size());
+  for (const RackJob& resident : residents_[machine_index]) {
+    if (exclude_job == nullptr || resident.name != *exclude_job) {
+      jobs.push_back(&resident);
+    }
+  }
+  return jobs;
+}
+
+std::vector<std::shared_ptr<const Prediction>> Rack::PredictResidents(
     int machine_index, std::span<const RackJob* const> jobs) const {
-  std::vector<Prediction> predictions;
+  std::vector<std::shared_ptr<const Prediction>> predictions;
   if (jobs.empty()) {
     return predictions;
   }
+  predictions.reserve(jobs.size());
   // Joint context: machine + options + every resident (workload, placement)
   // pair, in order. Slot i of the joint solve is keyed by {context, i}: any
   // membership, ordering, or placement change produces a different context,
@@ -255,15 +279,14 @@ std::vector<Prediction> Rack::PredictResidents(
       context = CombineFingerprints(context, job->workload_fingerprint);
       context = CombineFingerprints(context, PlacementFingerprint(job->placement));
     }
-    predictions.reserve(jobs.size());
     for (size_t i = 0; i < jobs.size(); ++i) {
-      std::optional<Prediction> hit =
-          cache_->Lookup(PredictionCacheKey{context, static_cast<uint64_t>(i)});
-      if (!hit.has_value()) {
+      std::shared_ptr<const Prediction> hit =
+          cache_->Find(PredictionCacheKey{context, static_cast<uint64_t>(i)});
+      if (hit == nullptr) {
         predictions.clear();
         break;
       }
-      predictions.push_back(*std::move(hit));
+      predictions.push_back(std::move(hit));
     }
     if (predictions.size() == jobs.size()) {
       return predictions;
@@ -274,14 +297,14 @@ std::vector<Prediction> Rack::PredictResidents(
   for (const RackJob* job : jobs) {
     requests.push_back(CoScheduleRequest{&job->description, job->placement});
   }
-  predictions = engines_[machine_index].Predict(requests).jobs;
-  if (cache_ != nullptr) {
-    for (size_t i = 0; i < predictions.size(); ++i) {
-      if (predictions[i].converged) {
-        cache_->Insert(PredictionCacheKey{context, static_cast<uint64_t>(i)},
-                       predictions[i]);
-      }
+  CoSchedulePrediction joint = engines_[machine_index].Predict(requests);
+  for (size_t i = 0; i < joint.jobs.size(); ++i) {
+    auto prediction = std::make_shared<const Prediction>(std::move(joint.jobs[i]));
+    if (cache_ != nullptr && prediction->converged) {
+      cache_->Insert(PredictionCacheKey{context, static_cast<uint64_t>(i)},
+                     prediction);
     }
+    predictions.push_back(std::move(prediction));
   }
   return predictions;
 }
@@ -289,82 +312,29 @@ std::vector<Prediction> Rack::PredictResidents(
 std::vector<Prediction> Rack::PredictMachine(int machine_index) const {
   PANDIA_CHECK(machine_index >= 0 &&
                static_cast<size_t>(machine_index) < residents_.size());
-  std::vector<const RackJob*> jobs;
-  jobs.reserve(residents_[machine_index].size());
-  for (const RackJob& resident : residents_[machine_index]) {
-    jobs.push_back(&resident);
+  std::vector<Prediction> predictions;
+  predictions.reserve(residents_[machine_index].size());
+  for (const std::shared_ptr<const Prediction>& prediction :
+       PredictResidents(machine_index, ResidentsExcept(machine_index, nullptr))) {
+    predictions.push_back(*prediction);
   }
-  return PredictResidents(machine_index, jobs);
+  return predictions;
 }
 
-std::optional<Rack::Candidate> Rack::BestCandidateOn(
-    int machine_index, const JobRequest& job, Policy policy,
-    const std::string* exclude_job) const {
-  PANDIA_CHECK(machine_index >= 0 &&
-               static_cast<size_t>(machine_index) < residents_.size());
-  const RackMachine& machine = machines_[machine_index];
-  const MachineTopology& topo = machine.description.topo;
-  const auto desc_it = job.descriptions.find(topo.name);
-  if (desc_it == job.descriptions.end()) {
-    return std::nullopt;  // no description for this machine type
+std::vector<Placement> ProbeCandidates(const MachineTopology& topo,
+                                       const std::vector<uint8_t>& free, int want) {
+  PANDIA_CHECK(static_cast<int>(free.size()) == topo.NumCores());
+  std::vector<Placement> candidates;
+  want = std::min(want, std::accumulate(free.begin(), free.end(), 0));
+  if (want <= 0) {
+    return candidates;
   }
-  const WorkloadDescription& workload = desc_it->second;
-  const std::vector<uint8_t> free = FreeThreads(machine_index, exclude_job);
-
-  std::vector<const RackJob*> others;
-  others.reserve(residents_[machine_index].size());
-  for (const RackJob& resident : residents_[machine_index]) {
-    if (exclude_job != nullptr && resident.name == *exclude_job) {
-      continue;
-    }
-    others.push_back(&resident);
-  }
-
-  // Candidate generation (heuristic, bounded): for every feasible thread
-  // count up to the request, split the threads over the k most-free sockets
-  // (k = 1..num_sockets) as evenly as possible, in a spread and a packed
-  // per-core variant.
   std::vector<int> socket_order(static_cast<size_t>(topo.num_sockets));
   std::iota(socket_order.begin(), socket_order.end(), 0);
   std::stable_sort(socket_order.begin(), socket_order.end(), [&](int a, int b) {
     return FreeOnSocket(topo, a, free) > FreeOnSocket(topo, b, free);
   });
-  int capacity = 0;
-  for (uint8_t f : free) {
-    capacity += f;
-  }
-  const int want = std::min(job.requested_threads, capacity);
-  if (want <= 0) {
-    return std::nullopt;
-  }
-
-  // Aggregate speedup of the machine's residents before the new job, so
-  // the interference objective scores the *change* caused by admitting it
-  // (a plain after-sum would reward already-busy machines). Memoized: this
-  // is the per-machine baseline that admissions re-read between mutations.
-  double before_total = 0.0;
-  for (const Prediction& prediction : PredictResidents(machine_index, others)) {
-    before_total += prediction.speedup;
-  }
-
   std::set<std::vector<uint8_t>> seen;
-  std::optional<Candidate> best;
-  const CoSchedulePredictor& engine = engines_[machine_index];
-  // The joint-solve inputs and output are hoisted out of the candidate
-  // loop: the residents' requests never change between candidates (only
-  // the new job's trailing slot does), and PredictInto reuses the
-  // prediction's vector capacity, so the scan performs no per-candidate
-  // result allocations (ROADMAP item-2 leftover).
-  std::vector<CoScheduleRequest> requests;
-  requests.reserve(others.size() + 1);
-  for (const RackJob* resident : others) {
-    requests.push_back(
-        CoScheduleRequest{&resident->description, resident->placement});
-  }
-  requests.push_back(CoScheduleRequest{
-      &workload,
-      Placement(topo, std::vector<uint8_t>(static_cast<size_t>(topo.NumCores()), 0))});
-  CoSchedulePrediction joint;
   for (int total = 1; total <= want; ++total) {
     for (int k = 1; k <= topo.num_sockets; ++k) {
       for (const bool spread : {true, false}) {
@@ -378,40 +348,114 @@ std::optional<Rack::Candidate> Rack::BestCandidateOn(
           ok = BuildSocketVariant(topo, socket, here, spread, free, per_core);
           remaining -= here;
         }
-        if (!ok || remaining != 0) {
+        if (!ok || remaining != 0 || !seen.insert(per_core).second) {
           continue;
         }
-        if (!seen.insert(per_core).second) {
-          continue;
-        }
-        const Placement placement(topo, per_core);
-
-        // Joint prediction with the machine's residents. Not memoized: each
-        // candidate is a novel transient context, and inserting thousands of
-        // them would only churn the cache.
-        requests.back().placement = placement;
-        engine.PredictInto(requests, &joint);
-        Candidate candidate{placement, joint.jobs.back().speedup, 0.0};
-        for (const Prediction& prediction : joint.jobs) {
-          candidate.total_speedup += prediction.speedup;
-        }
-        candidate.total_speedup -= before_total;  // net rack-wide gain
-        const bool better = [&] {
-          if (!best.has_value()) {
-            return true;
-          }
-          if (policy == Policy::kLeastInterference) {
-            return candidate.total_speedup > best->total_speedup;
-          }
-          return candidate.job_speedup > best->job_speedup;
-        }();
-        if (better) {
-          best = std::move(candidate);
-        }
+        candidates.emplace_back(topo, std::move(per_core));
       }
     }
   }
-  return best;
+  return candidates;
+}
+
+std::optional<Rack::Candidate> Rack::BestCandidateOn(
+    int machine_index, const JobRequest& job, Policy policy,
+    const std::string* exclude_job, double floor) const {
+  PANDIA_CHECK(machine_index >= 0 &&
+               static_cast<size_t>(machine_index) < residents_.size());
+  const MachineTopology& topo = machines_[machine_index].description.topo;
+  const auto desc_it = job.descriptions.find(topo.name);
+  if (desc_it == job.descriptions.end()) {
+    return std::nullopt;  // no description for this machine type
+  }
+  const WorkloadDescription& workload = desc_it->second;
+  std::vector<Placement> candidates =
+      ProbeCandidates(topo, FreeThreads(machine_index, exclude_job), job.requested_threads);
+  if (candidates.empty()) {
+    return std::nullopt;
+  }
+
+  const std::vector<const RackJob*> others = ResidentsExcept(machine_index, exclude_job);
+
+  // Aggregate speedup of the machine's residents before the new job, so
+  // the interference objective scores the *change* caused by admitting it
+  // (a plain after-sum would reward already-busy machines). Computed under
+  // every policy: it is the memoized full-resident-set entry that TELEMETRY
+  // and later admissions re-read between mutations.
+  double before_total = 0.0;
+  for (const std::shared_ptr<const Prediction>& prediction :
+       PredictResidents(machine_index, others)) {
+    before_total += prediction->speedup;
+  }
+
+  // Scan order. Under the job-speedup policies, candidates go in descending
+  // AmdahlBound order (stable, so equal bounds keep generation order): once
+  // one candidate's bound falls below the incumbent, so does every later
+  // one's.
+  const bool prune = policy != Policy::kLeastInterference;
+  std::vector<size_t> order(candidates.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::vector<double> bound;
+  if (prune) {
+    bound.reserve(candidates.size());
+    for (const Placement& placement : candidates) {
+      bound.push_back(AmdahlBound(workload.parallel_fraction, placement.TotalThreads()));
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) { return bound[a] > bound[b]; });
+  }
+
+  const CoSchedulePredictor& engine = engines_[machine_index];
+  // The joint-solve inputs and output are hoisted out of the candidate
+  // loop: the residents' requests never change between candidates (only
+  // the new job's trailing slot does), and PredictInto reuses the
+  // prediction's vector capacity, so the scan performs no per-candidate
+  // result allocations.
+  std::vector<CoScheduleRequest> requests;
+  requests.reserve(others.size() + 1);
+  for (const RackJob* resident : others) {
+    requests.push_back(
+        CoScheduleRequest{&resident->description, resident->placement});
+  }
+  requests.push_back(CoScheduleRequest{&workload, candidates.front()});
+  CoSchedulePrediction joint;
+  std::optional<size_t> best;  // index into candidates
+  double best_job_speedup = 0.0;
+  double best_total_speedup = 0.0;
+  double incumbent = floor;  // the speedup a candidate must reach to matter
+  size_t solved = 0;
+  for (const size_t i : order) {
+    if (prune && bound[i] < incumbent) {
+      break;
+    }
+    // Joint prediction with the machine's residents. Not memoized: each
+    // candidate is a novel transient context, and inserting thousands of
+    // them would only churn the cache.
+    requests.back().placement = candidates[i];
+    engine.PredictInto(requests, &joint);
+    ++solved;
+    const double job_speedup = joint.jobs.back().speedup;
+    double total_speedup = 0.0;
+    for (const Prediction& prediction : joint.jobs) {
+      total_speedup += prediction.speedup;
+    }
+    total_speedup -= before_total;  // net rack-wide gain
+    const double score = prune ? job_speedup : total_speedup;
+    const double best_score = prune ? best_job_speedup : best_total_speedup;
+    if (!best.has_value() || score > best_score ||
+        (score == best_score && i < *best)) {
+      best = i;
+      best_job_speedup = job_speedup;
+      best_total_speedup = total_speedup;
+      incumbent = std::max(incumbent, job_speedup);
+    }
+  }
+  ProbeSolvesCounter().Increment(solved);
+  ProbesPrunedCounter().Increment(candidates.size() - solved);
+  if (!best.has_value() || (prune && best_job_speedup <= floor)) {
+    return std::nullopt;
+  }
+  return Candidate{std::move(candidates[*best]), best_job_speedup, best_total_speedup};
 }
 
 StatusOr<Assignment> Rack::Admit(const JobRequest& job, Policy policy) {
@@ -619,7 +663,8 @@ Rack::TelemetrySnapshot Rack::Telemetry() const {
     if (residents_[m].empty()) {
       continue;
     }
-    const std::vector<Prediction> joint = PredictMachine(static_cast<int>(m));
+    const std::vector<std::shared_ptr<const Prediction>> joint = PredictResidents(
+        static_cast<int>(m), ResidentsExcept(static_cast<int>(m), nullptr));
     for (size_t i = 0; i < residents_[m].size(); ++i) {
       const RackJob& resident = residents_[m][i];
       JobTelemetry job;
@@ -631,7 +676,7 @@ Rack::TelemetrySnapshot Rack::Telemetry() const {
       job.slowdown_at_admit = resident.speedup_at_admit > 0.0
                                   ? 1.0 / resident.speedup_at_admit
                                   : 0.0;
-      job.current_speedup = i < joint.size() ? joint[i].speedup : 0.0;
+      job.current_speedup = i < joint.size() ? joint[i]->speedup : 0.0;
       job.admit_seq = resident.admit_seq;
       job.moves = resident.moves;
       job.co_events = machine_events_[m] - resident.machine_events_at_placement;

@@ -18,7 +18,9 @@
 #define PANDIA_SRC_RACK_RACK_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -100,6 +102,16 @@ std::optional<Placement> PlaceLoadsOnFreeCores(const MachineTopology& topo,
                                                std::span<const SocketLoad> loads,
                                                const std::vector<uint8_t>& free);
 
+// The placements a rack probe scores for a job wanting `want` threads on a
+// machine with per-core free threads `free` (want is clamped to the free
+// capacity; empty when nothing fits). Heuristic and bounded: for every
+// thread count from 1 to want, split the threads over the k most-free
+// sockets (k = 1..num_sockets) as evenly as possible, in a spread and a
+// packed per-core variant. Duplicates are dropped; the rest keep this
+// generation order, which breaks ties between equally scored candidates.
+std::vector<Placement> ProbeCandidates(const MachineTopology& topo,
+                                       const std::vector<uint8_t>& free, int want);
+
 // Mutable rack state with online admission. All mutations validate their
 // inputs and report recoverable failures as Status — a malformed request
 // must never take down a daemon holding live placement state.
@@ -143,13 +155,26 @@ class Rack {
     double total_speedup = 0.0;  // net change in the machine's aggregate speedup
   };
 
-  // Best placement for `job` on one machine against the current residents
-  // (nullopt when the job has no description for the machine's type or
-  // nothing fits). `exclude_job` evaluates the machine as if that resident
-  // had already left — the re-placement path of departures and rebalancing.
-  std::optional<Candidate> BestCandidateOn(int machine_index, const JobRequest& job,
-                                           Policy policy,
-                                           const std::string* exclude_job = nullptr) const;
+  // Best of ProbeCandidates for `job` on one machine against the current
+  // residents (nullopt when the job has no description for the machine's
+  // type or nothing fits): the highest job speedup, or under
+  // kLeastInterference the highest net rack gain, with ties going to the
+  // earliest generated candidate. `exclude_job` evaluates the machine as if
+  // that resident had already left — the re-placement path of departures
+  // and rebalancing.
+  //
+  // The job-speedup policies score candidates in descending AmdahlBound
+  // order and skip every candidate whose bound is strictly below the
+  // incumbent — the larger of the best speedup solved so far and `floor` —
+  // since no skipped candidate could have won. `floor` is the bar a caller
+  // needs beaten: the result is nullopt unless the best candidate's speedup
+  // is above it, and otherwise identical to an exhaustive scan's.
+  // kLeastInterference has no such bound; it scores every candidate and
+  // ignores `floor`.
+  std::optional<Candidate> BestCandidateOn(
+      int machine_index, const JobRequest& job, Policy policy,
+      const std::string* exclude_job = nullptr,
+      double floor = -std::numeric_limits<double>::infinity()) const;
 
   // Online admission: probes every machine (fanning out over
   // options().common.jobs workers), applies the best candidate under
@@ -243,11 +268,14 @@ class Rack {
   [[nodiscard]] Status RestoreState(const SavedState& state);
 
  private:
-  std::optional<Candidate> BestCandidateAgainst(int machine_index,
-                                                const JobRequest& job, Policy policy,
-                                                const std::vector<uint8_t>& free) const;
-  std::vector<Prediction> PredictResidents(int machine_index,
-                                           std::span<const RackJob* const> jobs) const;
+  // Residents of one machine in resident order, minus `exclude_job` when
+  // non-null.
+  std::vector<const RackJob*> ResidentsExcept(int machine_index,
+                                              const std::string* exclude_job) const;
+  // Joint predictions of `jobs` on one machine, in order. Cache hits are
+  // the cache's shared entries, not copies.
+  std::vector<std::shared_ptr<const Prediction>> PredictResidents(
+      int machine_index, std::span<const RackJob* const> jobs) const;
   Status ValidatePlacementFits(int machine_index, const Placement& placement,
                                const std::vector<uint8_t>& free) const;
 

@@ -487,10 +487,12 @@ Status PlacementService::ReplaceDegraded(int machine_index,
     probe.name = name;
     probe.descriptions.emplace(type, it->description);
     probe.requested_threads = it->placement.TotalThreads();
+    // Only a re-placement beating the margin is taken, so the margin is the
+    // probe's floor: it returns nothing else.
     const std::optional<rack::Rack::Candidate> candidate = rack_.BestCandidateOn(
-        machine_index, probe, rack::Policy::kBestSpeedup, &name);
-    if (!candidate.has_value() ||
-        candidate->job_speedup <= current_speedup * (1.0 + options_.replace_margin)) {
+        machine_index, probe, rack::Policy::kBestSpeedup, &name,
+        current_speedup * (1.0 + options_.replace_margin));
+    if (!candidate.has_value()) {
       continue;
     }
     const rack::Rack::SavedState saved = rack_.SaveState();
@@ -618,6 +620,9 @@ wire::Response PlacementService::HandleRebalance(const wire::Request& request) {
 
       // Candidate machines: same type only (the stored description is
       // machine-specific, §4), own machine included via self-exclusion.
+      // A machine's probe is floored at the margin, then at the best found
+      // on an earlier machine (a tie keeps the earlier one), so whatever a
+      // probe returns is the new best.
       std::optional<rack::Rack::Candidate> best;
       int best_machine = -1;
       for (size_t m = 0; m < rack_.machines().size(); ++m) {
@@ -626,18 +631,17 @@ wire::Response PlacementService::HandleRebalance(const wire::Request& request) {
         }
         const std::string* exclude =
             static_cast<int>(m) == entry.machine ? &entry.name : nullptr;
+        const double floor = best.has_value()
+                                 ? best->job_speedup
+                                 : entry.speedup * (1.0 + options_.replace_margin);
         std::optional<rack::Rack::Candidate> candidate = rack_.BestCandidateOn(
-            static_cast<int>(m), probe, rack::Policy::kBestSpeedup, exclude);
-        if (!candidate.has_value()) {
-          continue;
-        }
-        if (!best.has_value() || candidate->job_speedup > best->job_speedup) {
+            static_cast<int>(m), probe, rack::Policy::kBestSpeedup, exclude, floor);
+        if (candidate.has_value()) {
           best = std::move(candidate);
           best_machine = static_cast<int>(m);
         }
       }
-      if (!best.has_value() ||
-          best->job_speedup <= entry.speedup * (1.0 + options_.replace_margin)) {
+      if (!best.has_value()) {
         continue;
       }
       const rack::Rack::SavedState saved = rack_.SaveState();

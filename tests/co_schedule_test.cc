@@ -4,10 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/eval/pipeline.h"
 #include "src/predictor/co_schedule.h"
+#include "src/sim/machine_spec.h"
+#include "src/util/rng.h"
 #include "src/workloads/workloads.h"
+#include "tests/placement_corpus.h"
 
 namespace pandia {
 namespace {
@@ -134,6 +139,164 @@ TEST(CoSchedule, CombinedResourceLoadIsSumOfJobs) {
   EXPECT_NEAR(joint.resource_load[index.Dram(0)], joint.resource_load[index.Dram(1)],
               1e-9);
   EXPECT_GT(joint.resource_load[index.Dram(0)], 0.0);
+}
+
+// --- AmdahlBound: the rack's probe pruning relies on it being exact ---
+
+const eval::Pipeline& PipelineFor(const std::string& machine) {
+  static std::map<std::string, eval::Pipeline>* pipelines =
+      new std::map<std::string, eval::Pipeline>;
+  auto it = pipelines->find(machine);
+  if (it == pipelines->end()) {
+    it = pipelines->emplace(machine, eval::Pipeline(machine)).first;
+  }
+  return it->second;
+}
+
+const WorkloadDescription& DescOn(const std::string& machine, const std::string& name) {
+  static std::map<std::string, WorkloadDescription>* cache =
+      new std::map<std::string, WorkloadDescription>;
+  const std::string key = machine + "/" + name;
+  auto it = cache->find(key);
+  if (it == cache->end()) {
+    it = cache->emplace(key, PipelineFor(machine).Profile(workloads::ByName(name))).first;
+  }
+  return it->second;
+}
+
+// Solves `requests` jointly and checks speedup <= AmdahlBound for every job,
+// compared exactly: no epsilon.
+void ExpectWithinAmdahlBound(const CoSchedulePredictor& engine,
+                             const std::vector<CoScheduleRequest>& requests,
+                             const std::string& context) {
+  const CoSchedulePrediction joint = engine.Predict(requests);
+  ASSERT_EQ(joint.jobs.size(), requests.size());
+  for (size_t j = 0; j < requests.size(); ++j) {
+    const double bound = AmdahlBound(requests[j].workload->parallel_fraction,
+                                     requests[j].placement.TotalThreads());
+    EXPECT_LE(joint.jobs[j].speedup, bound) << context << " job " << j;
+    // The bound is the solver's own Amdahl factor, not a second formula.
+    EXPECT_EQ(joint.jobs[j].amdahl_speedup,
+              AmdahlSpeedup(requests[j].workload->parallel_fraction,
+                            requests[j].placement.TotalThreads()))
+        << context << " job " << j;
+  }
+}
+
+// The option variants the bound must survive: the default model, the
+// first iteration alone (no §5.4 clamp pass ever runs), early dampening,
+// and each ablation.
+std::vector<PredictionOptions> BoundOptionVariants() {
+  std::vector<PredictionOptions> variants(5);
+  variants[1].iterate = false;
+  variants[2].dampen_after = 2;
+  variants[3].model_load_balance = false;
+  variants[4].model_burstiness = false;
+  return variants;
+}
+
+TEST(AmdahlBound, HoldsWithoutSlackOnSeededRacksOnEveryPaperMachine) {
+  const std::vector<std::string> suite = {"CG", "Swim", "EP", "MD", "Bwaves"};
+  int solves = 0;
+  for (const std::string& machine : sim::KnownMachineNames()) {
+    const eval::Pipeline& pipeline = PipelineFor(machine);
+    const MachineTopology& topo = pipeline.machine().topology();
+    const std::vector<PredictionOptions> variants = BoundOptionVariants();
+    std::vector<CoSchedulePredictor> engines;
+    for (const PredictionOptions& options : variants) {
+      engines.emplace_back(pipeline.description(), options);
+    }
+    Rng rng(HashCombine(7, machine.size(), static_cast<uint64_t>(topo.NumCores())));
+    for (int rack = 0; rack < 200; ++rack) {
+      std::vector<uint8_t> free(static_cast<size_t>(topo.NumCores()),
+                                static_cast<uint8_t>(topo.threads_per_core));
+      std::vector<CoScheduleRequest> requests;
+      const int jobs = 2 + static_cast<int>(rng.NextBounded(8));
+      for (int j = 0; j < jobs; ++j) {
+        const int threads = 1 + static_cast<int>(rng.NextBounded(6));
+        std::optional<Placement> placement =
+            RandomPlacementOnFree(topo, free, threads, rng);
+        if (!placement.has_value()) {
+          break;
+        }
+        requests.push_back(CoScheduleRequest{
+            &DescOn(machine, suite[rng.NextBounded(suite.size())]), *std::move(placement)});
+      }
+      for (size_t v = 0; v < engines.size(); ++v) {
+        ExpectWithinAmdahlBound(engines[v], requests,
+                                machine + " rack " + std::to_string(rack) +
+                                    " variant " + std::to_string(v));
+        ++solves;
+      }
+    }
+  }
+  EXPECT_EQ(solves, 4 * 200 * 5);
+}
+
+TEST(AmdahlBound, HoldsOnTheSolverEdgeCorpus) {
+  for (const std::string& machine : sim::KnownMachineNames()) {
+    const eval::Pipeline& pipeline = PipelineFor(machine);
+    const MachineTopology& topo = pipeline.machine().topology();
+    for (const PredictionOptions& options : BoundOptionVariants()) {
+      const CoSchedulePredictor engine(pipeline.description(), options);
+      for (const char* workload : {"CG", "Swim"}) {
+        for (const Placement& placement : PlacementCorpus(topo)) {
+          ExpectWithinAmdahlBound(engine, {{&DescOn(machine, workload), placement}},
+                                  machine + "/" + workload + "/" +
+                                      std::to_string(placement.TotalThreads()) + "t");
+        }
+      }
+    }
+  }
+}
+
+// Fully balanced (load_balance = 1) jobs that communicate across sockets
+// rely on the comm step alone for their cross-socket penalty, and that step
+// subtracts one socket's share of the reciprocal-slowdown sum from the
+// total (`total_work - socket_work`). Lopsided splits make one share nearly
+// the whole sum, the case where a rounding slip could make the penalty
+// negative and a slowdown fall below 1.
+TEST(AmdahlBound, HoldsForBalancedCommunicatingMultiSocketJobs) {
+  for (const std::string& machine : sim::KnownMachineNames()) {
+    const eval::Pipeline& pipeline = PipelineFor(machine);
+    const MachineTopology& topo = pipeline.machine().topology();
+    ASSERT_GE(topo.num_sockets, 2) << machine;
+    for (const PredictionOptions& options : BoundOptionVariants()) {
+      const CoSchedulePredictor engine(pipeline.description(), options);
+      for (const char* workload : {"CG", "Swim", "EP"}) {
+        for (const double overhead : {1e-9, 1e-3, 0.05, 0.5, 4.0}) {
+          WorkloadDescription desc = DescOn(machine, workload);
+          desc.load_balance = 1.0;
+          desc.inter_socket_overhead = overhead;
+          for (int here = 1; here <= topo.cores_per_socket; ++here) {
+            for (int smt = 0; smt < 2; ++smt) {
+              std::vector<SocketLoad> loads(static_cast<size_t>(topo.num_sockets));
+              loads[0] = smt == 0 ? SocketLoad{here, 0} : SocketLoad{0, here};
+              loads[1] = SocketLoad{1, 0};
+              loads.back().singles += 1;  // one more thread on the last socket
+              const Placement placement = Placement::FromSocketLoads(topo, loads);
+              const std::string context =
+                  machine + "/" + workload + " os=" + std::to_string(overhead) +
+                  " split " + placement.ToString();
+              ExpectWithinAmdahlBound(engine, {{&desc, placement}}, context);
+              // The same job next to a co-runner on random free slots.
+              std::vector<uint8_t> free(static_cast<size_t>(topo.NumCores()));
+              for (int c = 0; c < topo.NumCores(); ++c) {
+                free[c] = static_cast<uint8_t>(topo.threads_per_core -
+                                               placement.ThreadsOnCore(c));
+              }
+              Rng rng(static_cast<uint64_t>(here * 2 + smt));
+              std::optional<Placement> other = RandomPlacementOnFree(topo, free, 4, rng);
+              ASSERT_TRUE(other.has_value()) << context;
+              ExpectWithinAmdahlBound(
+                  engine, {{&desc, placement}, {&DescOn(machine, "Swim"), *other}},
+                  context + " + Swim");
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CoScheduleDeath, RejectsEmptyRequests) {

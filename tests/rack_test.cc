@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <limits>
 #include <string>
 
 #include "src/eval/pipeline.h"
 #include "src/obs/metrics.h"
 #include "src/rack/rack.h"
+#include "src/util/rng.h"
+#include "src/util/strings.h"
 #include "src/workloads/workloads.h"
+#include "tests/placement_corpus.h"
 
 namespace pandia {
 namespace rack {
@@ -420,6 +424,286 @@ TEST(Rack, PredictionCacheKeyIsTheResidentSet) {
   EXPECT_EQ(hits() - hits0, 0u);
   EXPECT_EQ(misses() - misses0, 1u);
   expect_same_as_uncached(after_own);
+}
+
+// --- BestCandidateOn: the pruned scan against an exhaustive reference ---
+
+// What BestCandidateOn computed before it pruned: every ProbeCandidates
+// placement solved jointly with the residents, in generation order, the
+// winner being the first to reach the policy's maximum.
+struct ExhaustiveBest {
+  std::vector<Placement> candidates;
+  std::optional<size_t> best;
+  double job_speedup = 0.0;
+  double total_speedup = 0.0;
+};
+
+ExhaustiveBest ReferenceBest(const Rack& rack, int machine, const JobRequest& job,
+                             Policy policy, const std::string* exclude) {
+  const MachineDescription& description = rack.machines()[machine].description;
+  ExhaustiveBest ref;
+  const auto desc = job.descriptions.find(description.topo.name);
+  if (desc == job.descriptions.end()) {
+    return ref;
+  }
+  ref.candidates = ProbeCandidates(description.topo, rack.FreeThreads(machine, exclude),
+                                   job.requested_threads);
+  const CoSchedulePredictor engine(description, rack.options());
+  std::vector<CoScheduleRequest> requests;
+  for (const RackJob& resident : rack.JobsOn(machine)) {
+    if (exclude == nullptr || resident.name != *exclude) {
+      requests.push_back(CoScheduleRequest{&resident.description, resident.placement});
+    }
+  }
+  double before_total = 0.0;
+  if (!requests.empty()) {
+    for (const Prediction& prediction : engine.Predict(requests).jobs) {
+      before_total += prediction.speedup;
+    }
+  }
+  if (ref.candidates.empty()) {
+    return ref;
+  }
+  requests.push_back(CoScheduleRequest{&desc->second, ref.candidates.front()});
+  for (size_t i = 0; i < ref.candidates.size(); ++i) {
+    requests.back().placement = ref.candidates[i];
+    const CoSchedulePrediction joint = engine.Predict(requests);
+    double total = 0.0;
+    for (const Prediction& prediction : joint.jobs) {
+      total += prediction.speedup;
+    }
+    total -= before_total;
+    const double job_speedup = joint.jobs.back().speedup;
+    const bool better = !ref.best.has_value() ||
+                        (policy == Policy::kLeastInterference
+                             ? total > ref.total_speedup
+                             : job_speedup > ref.job_speedup);
+    if (better) {
+      ref.best = i;
+      ref.job_speedup = job_speedup;
+      ref.total_speedup = total;
+    }
+  }
+  return ref;
+}
+
+std::string G17(double value) { return StrFormat("%.17g", value); }
+
+// BestCandidateOn(floor) must return the reference's winner whenever that
+// winner beats the floor (always, under kLeastInterference, which ignores
+// it), and nothing otherwise.
+void ExpectMatchesReference(const Rack& rack, int machine, const JobRequest& job,
+                            Policy policy, const std::string* exclude, double floor,
+                            const ExhaustiveBest& ref, const std::string& context) {
+  SCOPED_TRACE(context + " policy " + PolicyName(policy) + " floor " + G17(floor));
+  const std::optional<Rack::Candidate> got =
+      rack.BestCandidateOn(machine, job, policy, exclude, floor);
+  const bool want_result =
+      ref.best.has_value() &&
+      (policy == Policy::kLeastInterference || ref.job_speedup > floor);
+  ASSERT_EQ(got.has_value(), want_result);
+  if (!want_result) {
+    return;
+  }
+  EXPECT_EQ(got->placement.PerCore(), ref.candidates[*ref.best].PerCore())
+      << got->placement.ToString() << " vs "
+      << ref.candidates[*ref.best].ToString();
+  EXPECT_EQ(G17(got->job_speedup), G17(ref.job_speedup));
+  EXPECT_EQ(G17(got->total_speedup), G17(ref.total_speedup));
+}
+
+const std::vector<std::string>& ProbeSuite() {
+  static const std::vector<std::string> suite = {"CG", "EP", "Swim", "MD", "Bwaves"};
+  return suite;
+}
+
+JobRequest SuiteJob(const std::string& name, const std::string& workload, int threads) {
+  JobRequest job = MakeJob(workload, threads);
+  job.name = name;
+  return job;
+}
+
+// Fills each machine with 0-7 residents of 1-6 threads on random free
+// hardware threads (AdmitAt, as journal replay would).
+void FillRandomly(Rack& rack, Rng& rng) {
+  for (size_t m = 0; m < rack.machines().size(); ++m) {
+    const MachineTopology& topo = rack.machines()[m].description.topo;
+    const int residents = static_cast<int>(rng.NextBounded(8));
+    for (int r = 0; r < residents; ++r) {
+      std::vector<uint8_t> free = rack.FreeThreads(static_cast<int>(m));
+      const int threads = 1 + static_cast<int>(rng.NextBounded(6));
+      const std::optional<Placement> placement =
+          RandomPlacementOnFree(topo, free, threads, rng);
+      if (!placement.has_value()) {
+        break;
+      }
+      const std::string& workload = ProbeSuite()[rng.NextBounded(ProbeSuite().size())];
+      const JobRequest job = MakeJob(workload, threads);
+      ASSERT_TRUE(rack.AdmitAt(StrFormat("r%zu-%d", m, r), static_cast<int>(m),
+                               job.descriptions.at(topo.name), *placement)
+                      .ok());
+    }
+  }
+}
+
+TEST(RackProbe, PrunedScanMatchesExhaustiveReference) {
+  const std::vector<std::pair<std::string, std::vector<RackMachine>>> racks = {
+      {"x3-2", {{"a", X3().description()}, {"b", X3().description()}}},
+      {"x5-2", {{"a", X5().description()}, {"b", X5().description()}}},
+      {"hetero",
+       {{"a", X3().description()}, {"b", X5().description()}, {"c", X3().description()}}},
+  };
+  const Policy policies[] = {Policy::kFirstFit, Policy::kBestSpeedup,
+                             Policy::kLeastInterference};
+  const double kNoFloor = -std::numeric_limits<double>::infinity();
+  int compared = 0;
+  int empty_by_floor = 0;
+  for (const auto& [label, machines] : racks) {
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+      Rack rack(machines);
+      Rng rng(HashCombine(seed, label.size()));
+      FillRandomly(rack, rng);
+      const JobRequest job = SuiteJob(
+          "probe", ProbeSuite()[rng.NextBounded(ProbeSuite().size())],
+          1 + static_cast<int>(rng.NextBounded(16)));
+      for (int m = 0; m < static_cast<int>(machines.size()); ++m) {
+        std::vector<const std::string*> excludes = {nullptr};
+        if (!rack.JobsOn(m).empty()) {
+          excludes.push_back(&rack.JobsOn(m)[rng.NextBounded(rack.JobsOn(m).size())].name);
+        }
+        for (const std::string* exclude : excludes) {
+          for (const Policy policy : policies) {
+            const ExhaustiveBest ref = ReferenceBest(rack, m, job, policy, exclude);
+            const std::string context =
+                StrFormat("%s seed %llu machine %d exclude %s job %s/%d", label.c_str(),
+                          static_cast<unsigned long long>(seed), m,
+                          exclude == nullptr ? "-" : exclude->c_str(),
+                          job.descriptions.begin()->second.workload.c_str(),
+                          job.requested_threads);
+            std::vector<double> floors = {kNoFloor};
+            if (ref.best.has_value()) {
+              floors.push_back(ref.job_speedup * 0.9);
+              floors.push_back(ref.job_speedup);
+              floors.push_back(ref.job_speedup * 1.1);
+            }
+            for (const double floor : floors) {
+              ExpectMatchesReference(rack, m, job, policy, exclude, floor, ref, context);
+              ++compared;
+              if (ref.best.has_value() && policy != Policy::kLeastInterference &&
+                  ref.job_speedup <= floor) {
+                ++empty_by_floor;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 300);
+  EXPECT_GT(empty_by_floor, 50);
+}
+
+// On an empty machine many candidates are uncontended and score the same;
+// the winner must be the earliest generated of them even though the pruned
+// scan visits candidates in bound order.
+TEST(RackProbe, TiesGoToTheEarliestGeneratedCandidate) {
+  Rack rack({{"node0", X3().description()}});
+  JobRequest scaling = SuiteJob("ep", "EP", 4);
+  // A purely serial job: every candidate's bound and speedup is 1, so every
+  // thread count ties and the 1-thread spread placement (index 0) must win.
+  JobRequest serial = SuiteJob("serial", "EP", 6);
+  serial.descriptions.at("x3-2").parallel_fraction = 0.0;
+  for (const JobRequest* job : {&scaling, &serial}) {
+    SCOPED_TRACE(job->name);
+    for (const Policy policy : {Policy::kFirstFit, Policy::kBestSpeedup}) {
+      const ExhaustiveBest ref = ReferenceBest(rack, 0, *job, policy, nullptr);
+      ASSERT_TRUE(ref.best.has_value());
+      int ties = 0;
+      const CoSchedulePredictor engine(X3().description());
+      for (const Placement& placement : ref.candidates) {
+        const CoScheduleRequest request{&job->descriptions.at("x3-2"), placement};
+        const double speedup =
+            engine.Predict(std::span<const CoScheduleRequest>(&request, 1)).jobs[0].speedup;
+        ties += speedup == ref.job_speedup ? 1 : 0;
+      }
+      EXPECT_GE(ties, 2);
+      ExpectMatchesReference(rack, 0, *job, policy, nullptr,
+                             -std::numeric_limits<double>::infinity(), ref, "empty");
+    }
+  }
+  const ExhaustiveBest serial_ref =
+      ReferenceBest(rack, 0, serial, Policy::kBestSpeedup, nullptr);
+  EXPECT_EQ(serial_ref.best, std::optional<size_t>(0));
+}
+
+// Admission probes every machine concurrently with no shared floor, so the
+// result cannot depend on worker count or timing.
+TEST(RackProbe, AdmitWithFourWorkersMatchesOneWorker) {
+  const std::vector<RackMachine> machines = {
+      {"a", X3().description()}, {"b", X5().description()}, {"c", X3().description()}};
+  PredictionOptions serial_options;
+  serial_options.common.jobs = 1;
+  PredictionOptions parallel_options;
+  parallel_options.common.jobs = 4;
+  Rack serial(machines, serial_options);
+  Rack parallel(machines, parallel_options);
+  const Policy policies[] = {Policy::kFirstFit, Policy::kBestSpeedup,
+                             Policy::kLeastInterference};
+  Rng rng(99);
+  int placed = 0;
+  for (int i = 0; i < 36; ++i) {
+    const JobRequest job =
+        SuiteJob(StrFormat("job%d", i), ProbeSuite()[rng.NextBounded(ProbeSuite().size())],
+                 1 + static_cast<int>(rng.NextBounded(12)));
+    const Policy policy = policies[rng.NextBounded(3)];
+    const StatusOr<Assignment> one = serial.Admit(job, policy);
+    const StatusOr<Assignment> four = parallel.Admit(job, policy);
+    ASSERT_EQ(one.ok(), four.ok()) << job.name;
+    if (!one.ok()) {
+      EXPECT_EQ(one.status().ToString(), four.status().ToString());
+      continue;
+    }
+    ++placed;
+    EXPECT_EQ(one->machine_index, four->machine_index) << job.name;
+    EXPECT_EQ(one->placement->PerCore(), four->placement->PerCore()) << job.name;
+    EXPECT_EQ(G17(one->predicted_speedup), G17(four->predicted_speedup)) << job.name;
+    if (i % 4 == 3) {  // keep room on the rack
+      const std::string victim = StrFormat("job%d", i - 2);
+      EXPECT_EQ(serial.Depart(victim).ok(), parallel.Depart(victim).ok());
+    }
+  }
+  EXPECT_GT(placed, 20);
+}
+
+TEST(RackProbe, CountersSplitGeneratedCandidatesIntoSolvedAndPruned) {
+  Rack rack({{"node0", X3().description()}});
+  Rng rng(5);
+  const MachineTopology& topo = X3().machine().topology();
+  for (int r = 0; r < 5; ++r) {
+    std::vector<uint8_t> free = rack.FreeThreads(0);
+    const std::optional<Placement> placement = RandomPlacementOnFree(topo, free, 4, rng);
+    ASSERT_TRUE(placement.has_value());
+    ASSERT_TRUE(rack.AdmitAt(StrFormat("r%d", r), 0,
+                             MakeJob(r % 2 == 0 ? "Swim" : "CG", 4).descriptions.at("x3-2"),
+                             *placement)
+                    .ok());
+  }
+  const JobRequest job = SuiteJob("probe", "MD", 8);
+  const size_t generated = ProbeCandidates(topo, rack.FreeThreads(0), 8).size();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t solves0 = registry.counter("rack.probe_solves").value();
+  const uint64_t pruned0 = registry.counter("rack.probes_pruned").value();
+  ASSERT_TRUE(rack.BestCandidateOn(0, job, Policy::kBestSpeedup).has_value());
+  const uint64_t solves = registry.counter("rack.probe_solves").value() - solves0;
+  const uint64_t pruned = registry.counter("rack.probes_pruned").value() - pruned0;
+  EXPECT_EQ(solves + pruned, generated);
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(solves, 0u);
+  // Without a bound nothing is pruned.
+  ASSERT_TRUE(rack.BestCandidateOn(0, job, Policy::kLeastInterference).has_value());
+  EXPECT_EQ(registry.counter("rack.probe_solves").value() - solves0,
+            solves + generated);
+  EXPECT_EQ(registry.counter("rack.probes_pruned").value() - pruned0, pruned);
 }
 
 }  // namespace

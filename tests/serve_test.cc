@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "src/eval/pipeline.h"
+#include "src/obs/metrics.h"
+#include "src/predictor/prediction_cache.h"
 #include "src/serialize/serialize.h"
 #include "src/serve/client.h"
 #include "src/serve/socket.h"
@@ -155,6 +157,106 @@ TEST(PlacementService, DepartReplacesDegradedNeighbours) {
     ASSERT_TRUE(text.ok());
     EXPECT_NE(text->find("MOVED name=hog-b"), std::string::npos) << *text;
   }
+}
+
+// --- Decision golden: every placement decision of a seeded stream, pinned ---
+
+const eval::Pipeline& X5() {
+  static const eval::Pipeline* pipeline = new eval::Pipeline("x5-2");
+  return *pipeline;
+}
+
+// ADMIT carrying descriptions for both machine types of the heterogeneous
+// rack below, under an explicit policy.
+std::string HeteroAdmitLine(const std::string& name, const std::string& workload,
+                            int threads, rack::Policy policy) {
+  wire::Request request;
+  request.verb = "ADMIT";
+  request.params.emplace_back("name", name);
+  request.params.emplace_back("threads", StrFormat("%d", threads));
+  request.params.emplace_back("policy", rack::PolicyName(policy));
+  request.params.emplace_back("desc.x3-2", DescriptionText(workload));
+  request.params.emplace_back(
+      "desc.x5-2",
+      WorkloadDescriptionToText(X5().Profile(workloads::ByName(workload))));
+  return wire::FormatRequest(request);
+}
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : text) {
+    h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// A seeded admit/depart/rebalance stream over a heterogeneous rack, under
+// all three admission policies. The transcript holds every response
+// verbatim (machine, placement CSV, `moved =` rows) plus each admitted
+// job's speedup at %.17g, so any change to a probe's answer — which machine,
+// which placement, which speedup, which re-placement — changes the digest.
+// The prediction-cache counters pin the cache traffic the stream causes.
+TEST(PlacementService, DecisionStreamDigestIsPinned) {
+  PredictionCache::Global().Clear();
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const uint64_t hits0 = registry.counter("prediction_cache.hits").value();
+  const uint64_t misses0 = registry.counter("prediction_cache.misses").value();
+  const uint64_t inserts0 = registry.counter("prediction_cache.insertions").value();
+
+  std::vector<rack::RackMachine> machines{{"node0", X3().description()},
+                                          {"node1", X5().description()},
+                                          {"node2", X3().description()}};
+  PlacementService service = MustCreate(std::move(machines), ServiceOptions{});
+  const std::vector<std::string> suite = {"EP", "MD", "CG", "Swim", "Bwaves"};
+  const rack::Policy policies[] = {rack::Policy::kFirstFit, rack::Policy::kBestSpeedup,
+                                   rack::Policy::kLeastInterference};
+  Rng rng(2017);
+  std::vector<std::string> live;
+  std::string transcript;
+  int admitted = 0;
+  int moved_rows = 0;
+  for (int step = 0; step < 150; ++step) {
+    const uint64_t roll = rng.NextBounded(20);
+    std::string response;
+    if (roll < 11) {
+      const std::string name = StrFormat("job%d", step);
+      const std::string& workload = suite[rng.NextBounded(suite.size())];
+      const int threads = 1 + static_cast<int>(rng.NextBounded(12));
+      const rack::Policy policy = policies[rng.NextBounded(3)];
+      response = service.HandleLine(HeteroAdmitLine(name, workload, threads, policy));
+      if (IsOkBlock(response)) {
+        ++admitted;
+        live.push_back(name);
+        const int machine = *service.rack().MachineOf(name);
+        response += StrFormat("speedup17 = %.17g\n",
+                              service.rack().JobsOn(machine).back().speedup_at_admit);
+      }
+    } else if (roll < 17) {
+      if (live.empty()) {
+        continue;
+      }
+      const size_t victim = rng.NextBounded(live.size());
+      response = service.HandleLine("DEPART name=" + live[victim]);
+      live.erase(live.begin() + static_cast<ptrdiff_t>(victim));
+    } else {
+      response = service.HandleLine("REBALANCE max-migrations=2");
+    }
+    ASSERT_TRUE(IsOkBlock(response) || IsErrBlock(response)) << response;
+    for (size_t at = response.find("moved = "); at != std::string::npos;
+         at = response.find("moved = ", at + 1)) {
+      ++moved_rows;
+    }
+    transcript += StrFormat("step %d\n", step) + response;
+  }
+  // The stream must exercise what the digest is meant to pin.
+  EXPECT_GT(admitted, 40);
+  EXPECT_GT(moved_rows, 0);
+  EXPECT_EQ(StrFormat("%016llx", static_cast<unsigned long long>(Fnv1a(transcript))),
+            "3bd346bc4e2b140f")
+      << transcript;
+  EXPECT_EQ(registry.counter("prediction_cache.hits").value() - hits0, 2974u);
+  EXPECT_EQ(registry.counter("prediction_cache.misses").value() - misses0, 382u);
+  EXPECT_EQ(registry.counter("prediction_cache.insertions").value() - inserts0, 2662u);
 }
 
 TEST(SocketTransport, ServesClientsAndShutsDown) {

@@ -20,6 +20,7 @@
 #include "src/predictor/co_schedule.h"
 #include "src/sim/machine_spec.h"
 #include "src/workloads/workloads.h"
+#include "tests/placement_corpus.h"
 #include "tests/reference_solver.h"
 
 namespace pandia {
@@ -119,24 +120,6 @@ void ExpectTraceBitIdentical(const obs::PredictionTrace& got,
           << "iteration " << i << " thread " << t;
     }
   }
-}
-
-// Placement corpus for one machine: singleton, spread, SMT-packed, full
-// machine, and an asymmetric two-socket split — the shapes that exercise
-// every solver term (burstiness, communication, balancing, DRAM routing).
-std::vector<Placement> PlacementCorpus(const MachineTopology& topo) {
-  std::vector<Placement> corpus;
-  corpus.push_back(Placement::OnePerCore(topo, 1));
-  corpus.push_back(Placement::OnePerCore(topo, topo.cores_per_socket));
-  corpus.push_back(Placement::OnePerCore(topo, topo.NumCores()));
-  corpus.push_back(Placement::TwoPerCore(topo, 2 * topo.NumCores()));
-  if (topo.num_sockets >= 2) {
-    std::vector<SocketLoad> lopsided(static_cast<size_t>(topo.num_sockets));
-    lopsided[0] = SocketLoad{topo.cores_per_socket, 0};
-    lopsided[1] = SocketLoad{1, 0};
-    corpus.push_back(Placement::FromSocketLoads(topo, lopsided));
-  }
-  return corpus;
 }
 
 TEST(SolverEquivalence, SingleJobBitIdenticalOnAllPaperMachines) {
